@@ -1,5 +1,6 @@
 #include "clasp/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string_view>
@@ -122,10 +123,13 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
     arena_.add(sessions_.back().flat_download_path());
     arena_.add(sessions_.back().flat_upload_path());
     if (config_.link_cache) {
-      // Register the union of this campaign's path links so run_hour's
-      // prefill turns the hot-loop evaluations into table lookups.
-      view_->link_cache().register_path(sessions_.back().download_path());
-      view_->link_cache().register_path(sessions_.back().upload_path());
+      // Register this campaign's path links so run_hour's prefill turns
+      // the hot-loop evaluations into table lookups, and note their slots:
+      // the hourly prefill refills only the links this campaign crosses.
+      view_->link_cache().register_path(sessions_.back().download_path(),
+                                        &cache_slots_);
+      view_->link_cache().register_path(sessions_.back().upload_path(),
+                                        &cache_slots_);
     }
 
     // Intern the session's series once; the hourly loop appends through
@@ -168,6 +172,10 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
     vm_session_index_[vm_session_offsets_[i % vm_count] + i / vm_count] =
         static_cast<std::uint32_t>(i);
   }
+  std::sort(cache_slots_.begin(), cache_slots_.end());
+  cache_slots_.erase(std::unique(cache_slots_.begin(), cache_slots_.end()),
+                     cache_slots_.end());
+  cache_slots_.shrink_to_fit();
   tallies_.resize(sessions_.size());
   if (config_.workers != 1) {
     pool_ = std::make_unique<thread_pool>(config_.workers);
@@ -322,11 +330,13 @@ void campaign_runner::run_hour(hour_stamp at) {
     const obs::trace_span span(obs::phase::begin_hour, h);
     begin_hour(at);
   }
-  // Prefill the shared hour-epoch cache before any worker starts reading;
-  // the pool's batch join publishes the writes (see condition_cache.hpp).
+  // Prefill this campaign's slots of the shared hour-epoch cache before
+  // any worker starts reading; slots another campaign already filled for
+  // this hour are skipped. The pool's batch join publishes the writes
+  // (see condition_cache.hpp).
   if (config_.link_cache) {
     const obs::trace_span span(obs::phase::prefill, h);
-    view_->link_cache().prefill(at, pool_.get());
+    view_->link_cache().prefill(at, cache_slots_, pool_.get());
   }
   // Batched arena sweep: every session path's metrics for this hour,
   // computed once on the coordinator (attributed to the prefill phase —
@@ -426,7 +436,7 @@ void campaign_runner::stage_shard_hour(hour_stamp at, std::size_t slot_begin,
   // serial pass, which cannot change any value — see evaluate_hour).
   if (config_.link_cache) {
     const obs::trace_span span(obs::phase::prefill, h);
-    view_->link_cache().prefill(at, nullptr);
+    view_->link_cache().prefill(at, cache_slots_, nullptr);
   }
   if (config_.batch_eval && !sessions_.empty()) {
     const obs::trace_span span(obs::phase::prefill, h);

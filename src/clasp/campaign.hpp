@@ -64,12 +64,13 @@ struct campaign_config {
   // thread, 0 means hardware_concurrency. Any value produces identical
   // results.
   unsigned workers{1};
-  // Hour-epoch link-condition caching: deploy() registers the union of
-  // the sessions' path links with the view's condition_cache and run_hour
-  // prefills it before staging. Off means every evaluation recomputes the
-  // load model directly; results are bit-identical either way (the cache
-  // stores exactly what the model computes), so this knob trades memory
-  // for speed and nothing else.
+  // Hour-epoch link-condition caching: deploy() registers the sessions'
+  // path links with the view's condition_cache (shared by every campaign
+  // on the view) and keeps their distinct slots; run_hour and
+  // stage_shard_hour prefill only those slots before staging. Off means
+  // every evaluation recomputes the load model directly; results are
+  // bit-identical either way (the cache stores exactly what the model
+  // computes), so this knob trades memory for speed and nothing else.
   bool link_cache{true};
   // Batched link-hour evaluation: evaluate_hour() sweeps every session's
   // two paths through one structure-of-arrays arena pass at the top of
@@ -174,7 +175,7 @@ class campaign_runner {
   void run_hour(hour_stamp at);
 
   // Coordinator-only fault-plan hour events, called by run_hour (and by
-  // clasp_platform::run_campaigns) before any staging worker starts:
+  // commit_hour_group) before any staging worker starts:
   // servers withdrawing at `at` are retired from the churn registry, VMs
   // whose maintenance window starts/ends at `at` are preempted/
   // redeployed. No-op when faults are disabled.
@@ -191,7 +192,19 @@ class campaign_runner {
   // config().batch_eval is false or with no sessions; staging falls back
   // to per-session evaluation whenever the staged hour was not the last
   // evaluated one, so direct stage_vm_hour() callers stay correct.
+  // Any prefill that covers cache_slots() — the campaign-scoped one
+  // run_hour performs, or a full view().link_cache().prefill(at) — then
+  // evaluate_hour, then staging and slot-order commits, is byte-identical
+  // to run_hour; hops whose slots were not prefilled for `at` only take
+  // the direct computation.
   void evaluate_hour(hour_stamp at, thread_pool* pool = nullptr);
+
+  // The distinct condition-cache slots this campaign's session paths
+  // cross, ascending (empty when config().link_cache is off). Collected
+  // once at deploy(); the slots the hour-top prefill refills.
+  const std::vector<std::uint32_t>& cache_slots() const {
+    return cache_slots_;
+  }
 
   // Registry to retire churned servers from (so withdrawn servers vanish
   // from later crawls and re-selections). Optional; staging never reads
@@ -208,8 +221,7 @@ class campaign_runner {
 
   // --- staged execution (the advanced API behind run_hour) ---
   // Everything one VM produces in one hour, accumulated off-thread and
-  // merged by the coordinator. Also used by clasp_platform::run_campaigns
-  // to fan several campaigns' fleets into one pool.
+  // merged by the coordinator.
   struct staged_point {
     series_ref ref;
     double value{0.0};
@@ -247,10 +259,10 @@ class campaign_runner {
   // --- distributed replay support (src/dist/) ---
   // Stage one hour of the VM slots [slot_begin, slot_end) into `out`
   // (resized to the slot count), entirely on the calling thread: serial
-  // cache prefill, serial batched evaluation, serial staging. Never
-  // touches the worker pool, so it is safe in a fork()ed worker process
-  // whose pool threads did not survive the fork. Byte-identical to the
-  // same slots staged by run_hour.
+  // prefill of the campaign's cache slots, serial batched evaluation,
+  // serial staging. Never touches the worker pool, so it is safe in a
+  // fork()ed worker process whose pool threads did not survive the fork.
+  // Byte-identical to the same slots staged by run_hour.
   void stage_shard_hour(hour_stamp at, std::size_t slot_begin,
                         std::size_t slot_end,
                         std::vector<vm_hour_staging>& out);
@@ -442,6 +454,9 @@ class campaign_runner {
   // against the view's condition cache on first use (see evaluate_hour).
   path_arena arena_;
   bool arena_resolved_{false};
+  // Sorted distinct condition-cache slots of the session paths (see
+  // cache_slots()).
+  std::vector<std::uint32_t> cache_slots_;
   // Per-path metrics of the last evaluate_hour() sweep, indexed like the
   // arena. Valid only for hour_metrics_hour_ (staging checks before use).
   std::vector<path_metrics> hour_metrics_;

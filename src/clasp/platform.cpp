@@ -187,66 +187,6 @@ clasp_platform::start_differential_campaign(const std::string& region,
   return {runners[0], runners[1]};
 }
 
-void clasp_platform::run_campaigns(
-    const std::vector<campaign_runner*>& runners, unsigned workers) {
-  if (runners.empty()) return;
-  hour_stamp begin = runners.front()->config().window.begin_at;
-  hour_stamp end = runners.front()->config().window.end_at;
-  for (const campaign_runner* r : runners) {
-    if (r == nullptr) {
-      throw invalid_argument_error("run_campaigns: null runner");
-    }
-    begin = std::min(begin, r->config().window.begin_at);
-    end = std::max(end, r->config().window.end_at);
-  }
-
-  thread_pool pool(workers);
-  struct vm_task {
-    campaign_runner* runner;
-    std::size_t vm_slot;
-  };
-  std::vector<vm_task> tasks;
-  // Reused across hours: commit moves only the someta samples out, so the
-  // staging buffers keep their capacity for the next hour.
-  std::vector<campaign_runner::vm_hour_staging> staged;
-  for (hour_stamp at = begin; at < end; ++at) {
-    tasks.clear();
-    bool want_cache = false;
-    for (campaign_runner* r : runners) {
-      const hour_range& w = r->config().window;
-      if (!(w.begin_at <= at && at < w.end_at)) continue;
-      // Coordinator-side fault events (churn retirement, VM preemption/
-      // redeploy) fire before any staging worker reads this hour.
-      r->begin_hour(at);
-      want_cache = want_cache || r->config().link_cache;
-      for (std::size_t v = 0; v < r->vm_count(); ++v) {
-        tasks.push_back({r, v});
-      }
-    }
-    if (tasks.empty()) continue;
-    // All runners share this platform's view, hence one condition cache
-    // holding the union of their registered links: prefill it once per
-    // hour before any staging worker reads.
-    if (want_cache) view_->link_cache().prefill(at, &pool);
-    // Batched fast path: each runner evaluates its whole session arena for
-    // this hour before staging workers read per-session metrics from it.
-    for (campaign_runner* r : runners) {
-      const hour_range& w = r->config().window;
-      if (w.begin_at <= at && at < w.end_at) r->evaluate_hour(at, &pool);
-    }
-    staged.resize(tasks.size());
-    pool.parallel_for(tasks.size(), [&](std::size_t i) {
-      tasks[i].runner->stage_vm_hour_into(tasks[i].vm_slot, at, staged[i]);
-    });
-    // Merge in (campaign creation, VM slot) order: identical to each
-    // campaign replaying the hour on its own.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      tasks[i].runner->commit_vm_hour(tasks[i].vm_slot, std::move(staged[i]));
-    }
-  }
-  for (campaign_runner* r : runners) r->charge_monthly_storage();
-}
-
 std::vector<interconnect_report> clasp_platform::interconnect_congestion(
     const std::string& region, double threshold) {
   const topology_selection_result& selection = select_topology(region);

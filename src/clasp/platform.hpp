@@ -178,16 +178,6 @@ class clasp_platform {
     return campaigns_;
   }
 
-  // Cross-region fan-out: drive several deployed campaigns hour-by-hour
-  // with one shared worker pool. Each hour, every (campaign, VM) pair in
-  // the union of the campaigns' windows is staged in parallel, then
-  // committed in (campaign order, VM-slot order) — so each campaign's
-  // results are bit-identical to running it alone with any worker count.
-  // `workers` = 0 means hardware_concurrency. Storage is billed per
-  // campaign at the end, as campaign_runner::run does.
-  void run_campaigns(const std::vector<campaign_runner*>& runners,
-                     unsigned workers = 0);
-
   // --- helpers ---
   timezone_offset timezone_of_server(std::size_t server_id) const;
   // Query download series + matching timezones for a campaign label+region.

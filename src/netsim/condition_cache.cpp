@@ -20,7 +20,7 @@ condition_cache::condition_cache(const internet* net)
   }
 }
 
-void condition_cache::register_link(link_index l) {
+std::uint32_t condition_cache::register_link(link_index l) {
   // The cloud layer attaches VM access links after generation, so the
   // link id space can grow between registrations.
   if (l.value >= slot_of_.size()) {
@@ -29,18 +29,28 @@ void condition_cache::register_link(link_index l) {
       throw invalid_argument_error("condition_cache: unknown link");
     }
   }
-  if (slot_of_[l.value] != kNoSlot) return;
-  slot_of_[l.value] = static_cast<std::uint32_t>(links_.size());
+  if (slot_of_[l.value] != kNoSlot) return slot_of_[l.value];
+  const auto slot = static_cast<std::uint32_t>(links_.size());
+  slot_of_[l.value] = slot;
   const link_info& info = net_->topo->link_at(l);
   links_.push_back({l, info.load_profile, info.capacity, info.kind});
   table_.resize(2 * links_.size());
-  valid_ = false;  // the new slots hold no hour's data yet
+  all_slots_.push_back(slot);
+  // Registration happens before replay, so clearing every stamp costs
+  // nothing measurable and keeps "registered set changed" a full reset.
+  stamp_.assign(links_.size(), kUnstamped);
+  return slot;
 }
 
-void condition_cache::register_path(const route_path& path) {
-  if (path.src_access) register_link(path.src_access->link);
-  for (const path_hop& h : path.transit_hops) register_link(h.link);
-  if (path.dst_access) register_link(path.dst_access->link);
+void condition_cache::register_path(const route_path& path,
+                                    std::vector<std::uint32_t>* slots) {
+  const auto add = [&](link_index l) {
+    const std::uint32_t slot = register_link(l);
+    if (slots != nullptr) slots->push_back(slot);
+  };
+  if (path.src_access) add(path.src_access->link);
+  for (const path_hop& h : path.transit_hops) add(h.link);
+  if (path.dst_access) add(path.dst_access->link);
 }
 
 void condition_cache::fill_slot(std::size_t slot, hour_stamp at) {
@@ -53,20 +63,27 @@ void condition_cache::fill_slot(std::size_t slot, hour_stamp at) {
                             reg.capacity, reg.kind);
 }
 
-void condition_cache::prefill(hour_stamp at, thread_pool* pool) {
-  valid_ = false;
-  if (pool != nullptr && links_.size() > 1) {
-    pool->parallel_for(links_.size(),
-                       [&](std::size_t slot) { fill_slot(slot, at); });
-  } else {
-    for (std::size_t slot = 0; slot < links_.size(); ++slot) {
-      fill_slot(slot, at);
-    }
+void condition_cache::prefill(hour_stamp at,
+                              std::span<const std::uint32_t> slots,
+                              thread_pool* pool) {
+  // Stamping while collecting also drops repeated slots from the list.
+  // No reader is live during a prefill, so stamping a slot before its
+  // entries are written cannot be observed.
+  const std::int64_t hour = at.hours_since_epoch();
+  pending_.clear();
+  for (const std::uint32_t slot : slots) {
+    if (stamp_[slot] == hour) continue;
+    stamp_[slot] = hour;
+    pending_.push_back(slot);
   }
-  epoch_ = at.hours_since_epoch();
-  valid_ = true;
+  if (pool != nullptr && pending_.size() > 1) {
+    pool->parallel_for(pending_.size(),
+                       [&](std::size_t i) { fill_slot(pending_[i], at); });
+  } else {
+    for (const std::uint32_t slot : pending_) fill_slot(slot, at);
+  }
   prefills_->add(1);
-  prefill_links_->add(links_.size());
+  prefill_links_->add(pending_.size());
 }
 
 }  // namespace clasp

@@ -1,4 +1,4 @@
-// Hour-epoch cache of link conditions for the campaign replay hot loop.
+// Hour-stamped cache of link conditions for the campaign replay hot loop.
 //
 // link_load_model::condition() is a pure function of
 // (profile, link, dir, hour), but it costs transcendental math (Box-Muller
@@ -6,23 +6,29 @@
 // the campaign replay re-evaluates it for every hop of every session's two
 // paths — even though cloud-WAN, interconnect and transit-backbone links
 // are shared by hundreds of sessions in the same region. This cache
-// memoizes one hour's worth of conditions for a registered set of links:
-// a dense 2 x links table of link_condition keyed by (link slot, dir) and
-// stamped with the hour it was filled for.
+// memoizes conditions for a registered set of links: a dense 2 x links
+// table of link_condition keyed by (link slot, dir), where every slot
+// carries its own stamp — the hour its two entries were filled for.
 //
 // Usage contract (what keeps replay deterministic AND data-race free):
 //  * register_link / register_path run at deployment time, before any
-//    worker exists. Registration is idempotent.
-//  * prefill(at) recomputes every registered entry for one hour. It is
-//    called by the replay coordinator at the top of each simulated hour,
-//    while no worker is evaluating (optionally fanning the recompute out
-//    across an idle thread_pool — slots are disjoint, so scheduling cannot
-//    change any value).
+//    worker exists. Registration is idempotent; adding a slot clears
+//    every stamp.
+//  * prefill(at, slots) fills the listed slots for one hour, skipping
+//    slots already stamped for `at`; prefill(at) does the same over every
+//    registered slot. Several campaigns share one cache (one per
+//    network_view), and each prefills only the slots its own sessions'
+//    paths cross. Prefill is called by a replay coordinator at the top of
+//    a simulated hour, while no worker is evaluating (optionally fanning
+//    the fills out across an idle thread_pool — slots are disjoint, so
+//    scheduling cannot change any value).
 //  * lookup() is read-only and lock-free; workers call it concurrently
-//    during the hour. A miss (unregistered link, or an hour other than the
-//    prefilled epoch) returns nullptr and the caller falls back to the
-//    direct computation — which yields bit-identical values, because the
-//    cache stores exactly condition()'s outputs.
+//    during the hour. It checks the stamp of the slot it reads: a miss
+//    (unregistered link, or a slot not stamped for the requested hour)
+//    returns nullptr and the caller falls back to the direct computation
+//    — which yields bit-identical values, because every stamped slot holds
+//    exactly condition()'s outputs for its hour. No call order can
+//    therefore serve another hour's value.
 //
 // The prefill-then-read phase split means no entry is ever written while
 // a reader is live; the thread_pool's batch join publishes the writes to
@@ -30,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netsim/generator.hpp"
@@ -62,47 +69,56 @@ class condition_cache {
 
   explicit condition_cache(const internet* net);
 
-  // Add a link to the registered set (idempotent). Coordinator-only; must
-  // not race with lookup() or prefill().
-  void register_link(link_index l);
-  // Register every link crossing of a path (access + transit hops).
-  void register_path(const route_path& path);
+  // Add a link to the registered set (idempotent) and return its slot.
+  // Coordinator-only; must not race with lookup() or prefill().
+  std::uint32_t register_link(link_index l);
+  // Register every link crossing of a path (access + transit hops). When
+  // `slots` is non-null, each crossing's slot is appended to it.
+  void register_path(const route_path& path,
+                     std::vector<std::uint32_t>* slots = nullptr);
 
   std::size_t registered_count() const { return links_.size(); }
 
-  // Recompute both directions of every registered link for hour `at`.
-  // Coordinator-only, with no concurrent readers. When `pool` is non-null
-  // the recompute fans out across it (one index per link; entries are
-  // disjoint, values schedule-independent).
-  void prefill(hour_stamp at, thread_pool* pool = nullptr);
+  // Fill both directions of each listed slot for hour `at`, skipping
+  // slots already stamped for `at` (so a slot shared by several callers
+  // is computed once per hour). Every slot must be below
+  // registered_count(). Coordinator-only, with no concurrent readers.
+  // When `pool` is non-null the fills fan out across it (one index per
+  // slot; entries are disjoint, values schedule-independent).
+  void prefill(hour_stamp at, std::span<const std::uint32_t> slots,
+               thread_pool* pool = nullptr);
+  // The same over every registered slot.
+  void prefill(hour_stamp at, thread_pool* pool = nullptr) {
+    prefill(at, all_slots_, pool);
+  }
 
   // The cached condition of (l, dir) at `at`, or nullptr when the link is
-  // unregistered or `at` is not the prefilled epoch. Safe to call from
+  // unregistered or its slot is not stamped for `at`. Safe to call from
   // many threads between prefills.
   const link_condition* lookup(link_index l, link_dir dir,
                                hour_stamp at) const {
-    if (!valid_ || at.hours_since_epoch() != epoch_) return nullptr;
-    if (l.value >= slot_of_.size()) return nullptr;
-    const std::uint32_t slot = slot_of_[l.value];
-    if (slot == kNoSlot) return nullptr;
-    return &table_[2 * slot + (dir == link_dir::a_to_b ? 0 : 1)];
+    const std::uint32_t s = slot(l);
+    if (s == kNoSlot) return nullptr;
+    const link_condition* pair = slot_pair(s, at);
+    return pair == nullptr ? nullptr
+                           : pair + (dir == link_dir::a_to_b ? 0 : 1);
   }
 
   // The table slot assigned to `l`, or kNoSlot when unregistered. Slots
   // are stable once assigned (register_link only appends), so a batch
   // evaluator can resolve its paths once and reuse the indices for the
-  // lifetime of the cache. Entry (slot, dir) lives at table 2*slot + dir.
+  // lifetime of the cache.
   std::uint32_t slot(link_index l) const {
     return l.value < slot_of_.size() ? slot_of_[l.value] : kNoSlot;
   }
 
-  // The dense condition table for hour `at`, or nullptr when `at` is not
-  // the prefilled epoch. The same validity test lookup() performs, hoisted
-  // out of per-hop loops: a batch sweep checks once, then indexes
-  // table[2*slot + (dir == a_to_b ? 0 : 1)] directly.
-  const link_condition* table_for(hour_stamp at) const {
-    if (!valid_ || at.hours_since_epoch() != epoch_) return nullptr;
-    return table_.data();
+  // The two entries [a_to_b, b_to_a] of `slot`, or nullptr when the slot
+  // is not stamped for `at`. The check lookup() performs, minus the
+  // link -> slot step: a batch sweep that resolved its hops to slots
+  // calls this once per hop.
+  const link_condition* slot_pair(std::uint32_t slot, hour_stamp at) const {
+    return stamp_[slot] == at.hours_since_epoch() ? &table_[2 * slot]
+                                                  : nullptr;
   }
 
   // Batched hit/miss accounting. lookup() itself stays metric-free so the
@@ -135,12 +151,16 @@ class condition_cache {
 
   void fill_slot(std::size_t slot, hour_stamp at);
 
+  // Stamp of a slot that holds no hour's data.
+  static constexpr std::int64_t kUnstamped = INT64_MIN;
+
   const internet* net_;
   std::vector<std::uint32_t> slot_of_;  // link.value -> slot or kNoSlot
   std::vector<registered_link> links_;  // slot -> link + static attributes
   std::vector<link_condition> table_;   // 2 per slot: [a_to_b, b_to_a]
-  std::int64_t epoch_{0};               // hour the table was filled for
-  bool valid_{false};                   // false until the first prefill
+  std::vector<std::int64_t> stamp_;     // slot -> hour it holds, or kUnstamped
+  std::vector<std::uint32_t> all_slots_;  // 0 .. registered_count() - 1
+  std::vector<std::uint32_t> pending_;    // prefill scratch: slots to fill
 
   // Registry handles, resolved once at construction (stable pointers).
   obs::counter* const hits_;

@@ -141,7 +141,6 @@ void network_view::evaluate_batch(const path_arena& arena, hour_stamp at,
                                   std::size_t begin_path,
                                   std::size_t end_path,
                                   path_metrics* out) const {
-  const link_condition* table = cache_->table_for(at);
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   for (std::size_t p = begin_path; p < end_path; ++p) {
@@ -154,9 +153,12 @@ void network_view::evaluate_batch(const path_arena& arena, hour_stamp at,
       link_condition data;
       link_condition ack;
       const std::uint32_t c = arena.cond_[i];
-      if (table != nullptr && c != path_arena::kUnresolved) {
-        data = table[c];
-        ack = table[c ^ 1u];  // same slot, opposite direction bit
+      const link_condition* pair =
+          c != path_arena::kUnresolved ? cache_->slot_pair(c >> 1, at)
+                                       : nullptr;
+      if (pair != nullptr) {
+        data = pair[c & 1u];
+        ack = pair[(c & 1u) ^ 1u];  // same slot, opposite direction bit
         cache_hits += 2;
       } else {
         data = net_->load->condition(h.load_profile, h.link, h.dir, at,

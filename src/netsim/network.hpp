@@ -7,11 +7,12 @@
 // bottleneck available bandwidth.
 //
 // Two complementary fast paths serve the campaign replay hot loop:
-//  * an hour-epoch condition_cache owned by the view: once the replay
-//    coordinator prefills it for an hour, every link_state / evaluate
-//    call backed by a registered link becomes a table lookup instead of
-//    recomputing the load model's transcendental math (the prober and
-//    every other view client reuse the same cached hour for free);
+//  * an hour-epoch condition_cache owned by the view: once a replay
+//    coordinator has prefilled a link's slot for an hour, every
+//    link_state / evaluate call crossing that link becomes a table lookup
+//    instead of recomputing the load model's transcendental math (the
+//    prober and every other view client reuse the same cached hour for
+//    free);
 //  * flat_path: a route_path flattened at session-construction time into
 //    a contiguous hop array with the static per-hop terms (propagation
 //    RTT, capacity, profile, kind) and the propagation-only RTT
@@ -101,7 +102,7 @@ class network_view {
   explicit network_view(const internet* net);
 
   // Condition of one link direction at one hour (cache lookup when the
-  // link is registered and the hour prefilled; direct computation else).
+  // link's slot is stamped for the hour; direct computation else).
   link_condition link_state(link_index l, link_dir dir, hour_stamp at) const;
 
   // Aggregate over every hop of a path.
@@ -115,8 +116,8 @@ class network_view {
   // Batched evaluation: compute metrics for arena paths
   // [begin_path, end_path) at hour `at`, writing out[p] for each absolute
   // path index p. Each hop whose condition-table entry resolved reads the
-  // prefilled table directly (one validity check per call, hoisted out of
-  // the hop loop); unresolved hops and non-prefilled hours fall back to
+  // table directly once its slot's stamp matches `at` (no link -> slot
+  // lookup); unresolved hops and slots not stamped for `at` fall back to
   // the load model. Bit-identical to evaluate(flat_path) per path — same
   // floating-point operations in the same order. Disjoint [begin, end)
   // ranges may run on different threads between prefills.
@@ -137,9 +138,10 @@ class network_view {
   bool episode_on_path(const route_path& path, hour_stamp at) const;
 
   // The hour-epoch condition cache shared by every client of this view.
-  // Campaign runners register their sessions' links at deploy() time and
-  // prefill at the top of each replayed hour; see condition_cache.hpp for
-  // the coordinator-only write contract.
+  // Campaign runners register their sessions' links at deploy() time and,
+  // at the top of each replayed hour, prefill the slots their own
+  // sessions cross; see condition_cache.hpp for the coordinator-only
+  // write contract.
   condition_cache& link_cache() const { return *cache_; }
 
   const internet& net() const { return *net_; }

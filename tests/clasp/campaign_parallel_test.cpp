@@ -8,8 +8,10 @@
 // the output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <new>
 #include <sstream>
@@ -161,31 +163,41 @@ const campaign_snapshot& run_once(unsigned workers, bool link_cache = true,
   return memo->emplace(key, snapshot_of(p, c)).first->second;
 }
 
+// TSDB contents, point for point, in identical series order.
+void expect_same_series(
+    const std::vector<campaign_snapshot::series_dump>& a,
+    const std::vector<campaign_snapshot::series_dump>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].metric, b[i].metric);
+    EXPECT_EQ(a[i].tags, b[i].tags);
+    ASSERT_EQ(a[i].points.size(), b[i].points.size());
+    for (std::size_t j = 0; j < a[i].points.size(); ++j) {
+      EXPECT_EQ(a[i].points[j].at, b[i].points[j].at);
+      EXPECT_EQ(a[i].points[j].value, b[i].points[j].value);
+    }
+  }
+}
+
+void expect_same_costs(const cost_report& a, const cost_report& b) {
+  EXPECT_EQ(a.vm_usd, b.vm_usd);
+  EXPECT_EQ(a.egress_usd, b.egress_usd);
+  EXPECT_EQ(a.storage_usd, b.storage_usd);
+}
+
 void expect_identical(const campaign_snapshot& a, const campaign_snapshot& b) {
   EXPECT_EQ(a.tests_run, b.tests_run);
   EXPECT_EQ(a.tests_missed, b.tests_missed);
 
   // Billing totals, bit for bit.
-  EXPECT_EQ(a.costs.vm_usd, b.costs.vm_usd);
-  EXPECT_EQ(a.costs.egress_usd, b.costs.egress_usd);
-  EXPECT_EQ(a.costs.storage_usd, b.costs.storage_usd);
+  expect_same_costs(a.costs, b.costs);
 
   // Bucket artifacts.
   EXPECT_EQ(a.bucket_objects, b.bucket_objects);
   EXPECT_EQ(a.bucket_mb, b.bucket_mb);
 
-  // TSDB contents, point for point, in identical series order.
-  ASSERT_EQ(a.series.size(), b.series.size());
-  ASSERT_FALSE(a.series.empty());
-  for (std::size_t i = 0; i < a.series.size(); ++i) {
-    EXPECT_EQ(a.series[i].metric, b.series[i].metric);
-    EXPECT_EQ(a.series[i].tags, b.series[i].tags);
-    ASSERT_EQ(a.series[i].points.size(), b.series[i].points.size());
-    for (std::size_t j = 0; j < a.series[i].points.size(); ++j) {
-      EXPECT_EQ(a.series[i].points[j].at, b.series[i].points[j].at);
-      EXPECT_EQ(a.series[i].points[j].value, b.series[i].points[j].value);
-    }
-  }
+  expect_same_series(a.series, b.series);
 
   // someta records per VM slot.
   ASSERT_EQ(a.someta.size(), b.someta.size());
@@ -335,19 +347,204 @@ TEST(CampaignParallelTest, SteadyStateStagingIsAllocationFree) {
       << "stage_vm_hour_into allocated in steady state";
 }
 
-TEST(CampaignParallelTest, PlatformFanOutMatchesSerialRun) {
-  // Driving a campaign through the platform's cross-campaign fan-out
-  // must reproduce campaign_runner::run exactly — with the shared-cache
-  // prefill path on and off.
-  const campaign_snapshot& serial = run_once(1);
+// --- two campaigns sharing one condition cache ---------------------------
+// Campaigns on one platform share its network_view, hence one condition
+// cache, and each prefills only the slots its own sessions cross. Two
+// regions' topology campaigns overlap on transit links, so the order in
+// which they are replayed decides which of them fills a shared slot for
+// an hour; it must never decide a value.
 
-  for (const bool link_cache : {true, false}) {
-    clasp_platform p(tiny_config(1, link_cache));
-    campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
-    c.inject_vm_outage(0,
-                       {two_days().begin_at + 20, two_days().begin_at + 24});
-    p.run_campaigns({&c}, 4);
-    expect_identical(serial, snapshot_of(p, c));
+constexpr const char* kTwoRegions[2] = {"us-west1", "us-west2"};
+
+enum class two_campaign_order {
+  campaign_major,  // day by day, each campaign's 24 hours in turn
+  hour_major,      // hour by hour, both campaigns per hour
+  only_first,      // the first campaign alone
+  only_second,     // the second campaign alone
+};
+
+struct region_result {
+  std::vector<campaign_snapshot::series_dump> series;
+  std::size_t tests_run{0};
+  std::size_t tests_missed{0};
+  double bucket_mb{0.0};
+  std::size_t bucket_objects{0};
+};
+
+struct two_campaign_result {
+  region_result region[2];
+  cost_report costs;
+  std::size_t own_slots[2]{0, 0};
+  std::size_t shared_slots{0};
+  // Growth of clasp_cache_prefill_links_total over each replayed hour,
+  // per campaign, in replay order.
+  std::vector<std::uint64_t> fills[2];
+};
+
+two_campaign_result replay_two_campaigns(unsigned workers,
+                                         two_campaign_order order) {
+  platform_config cfg = tiny_config(workers);
+  cfg.topology_budgets = {{kTwoRegions[0], 40}, {kTwoRegions[1], 20}};
+  obs::set_enabled(true);
+  clasp_platform p(cfg);
+  // Both campaigns are deployed in every run, so VM attachments and cache
+  // slots are the same; the "alone" orders replay only one of them.
+  campaign_runner* runners[2] = {
+      &p.start_topology_campaign(kTwoRegions[0], two_days()),
+      &p.start_topology_campaign(kTwoRegions[1], two_days())};
+  const obs::counter& fills = obs::metrics_registry::instance().get_counter(
+      obs::family::kCachePrefillLinks);
+
+  two_campaign_result out;
+  const auto step = [&](int c, hour_stamp at) {
+    const std::uint64_t before = fills.value();
+    runners[c]->run_until(at + 1);
+    out.fills[c].push_back(fills.value() - before);
+  };
+  const hour_stamp begin = two_days().begin_at;
+  const auto hours = static_cast<int>(two_days().count());
+  switch (order) {
+    case two_campaign_order::campaign_major:
+      for (int d = 0; d < hours / 24; ++d) {
+        for (int c = 0; c < 2; ++c) {
+          for (int i = 0; i < 24; ++i) step(c, begin + 24 * d + i);
+        }
+      }
+      break;
+    case two_campaign_order::hour_major:
+      for (int h = 0; h < hours; ++h) {
+        for (int c = 0; c < 2; ++c) step(c, begin + h);
+      }
+      break;
+    case two_campaign_order::only_first:
+    case two_campaign_order::only_second: {
+      const int c = order == two_campaign_order::only_first ? 0 : 1;
+      for (int h = 0; h < hours; ++h) step(c, begin + h);
+      break;
+    }
+  }
+  // Bill storage for every campaign that ran (a no-op replay otherwise).
+  for (int c = 0; c < 2; ++c) {
+    if (!out.fills[c].empty()) EXPECT_TRUE(runners[c]->run());
+  }
+  obs::set_enabled(false);
+
+  for (int c = 0; c < 2; ++c) {
+    region_result& r = out.region[c];
+    for (const char* metric : kMetrics) {
+      for (const ts_series* s : p.store().query(metric)) {
+        if (s->tag("region") == kTwoRegions[c]) {
+          r.series.push_back({s->metric(), s->tags(), s->points()});
+        }
+      }
+    }
+    r.tests_run = runners[c]->tests_run();
+    r.tests_missed = runners[c]->tests_missed();
+    const storage_bucket& bucket = p.cloud().bucket(kTwoRegions[c]);
+    r.bucket_mb = bucket.total_megabytes();
+    r.bucket_objects = bucket.object_count();
+    out.own_slots[c] = runners[c]->cache_slots().size();
+  }
+  out.costs = p.cloud().costs();
+  std::vector<std::uint32_t> shared;
+  std::set_intersection(runners[0]->cache_slots().begin(),
+                        runners[0]->cache_slots().end(),
+                        runners[1]->cache_slots().begin(),
+                        runners[1]->cache_slots().end(),
+                        std::back_inserter(shared));
+  out.shared_slots = shared.size();
+  return out;
+}
+
+void expect_same_region(const region_result& a, const region_result& b) {
+  expect_same_series(a.series, b.series);
+  EXPECT_EQ(a.tests_run, b.tests_run);
+  EXPECT_EQ(a.tests_missed, b.tests_missed);
+  EXPECT_EQ(a.bucket_mb, b.bucket_mb);
+  EXPECT_EQ(a.bucket_objects, b.bucket_objects);
+}
+
+// Billing is one platform-wide running sum, so interleaving two campaigns
+// reorders its additions: across replay orders the totals may differ in
+// the last bits, never more.
+void expect_costs_near(const cost_report& a, const cost_report& b) {
+  EXPECT_NEAR(a.vm_usd, b.vm_usd, 1e-9 * b.vm_usd);
+  EXPECT_NEAR(a.egress_usd, b.egress_usd, 1e-9 * b.egress_usd);
+  EXPECT_NEAR(a.storage_usd, b.storage_usd, 1e-9 * b.storage_usd);
+}
+
+TEST(CampaignParallelTest, CampaignScopedPrefillKeepsSharedCacheExact) {
+  std::map<two_campaign_order, two_campaign_result> serial;
+  for (const unsigned workers : {1u, 2u}) {
+    std::map<two_campaign_order, two_campaign_result> runs;
+    for (const two_campaign_order order :
+         {two_campaign_order::campaign_major, two_campaign_order::hour_major,
+          two_campaign_order::only_first, two_campaign_order::only_second}) {
+      runs.emplace(order, replay_two_campaigns(workers, order));
+    }
+    const two_campaign_result& cm = runs.at(two_campaign_order::campaign_major);
+    const two_campaign_result& hm = runs.at(two_campaign_order::hour_major);
+    const two_campaign_result* alone[2] = {
+        &runs.at(two_campaign_order::only_first),
+        &runs.at(two_campaign_order::only_second)};
+
+    // The campaigns overlap, and each also crosses links of its own.
+    const std::size_t a = cm.own_slots[0];
+    const std::size_t b = cm.own_slots[1];
+    const std::size_t shared = cm.shared_slots;
+    ASSERT_GT(shared, 0u);
+    ASSERT_LT(shared, a);
+    ASSERT_LT(shared, b);
+
+    // Every replay order yields the same stores and test counts.
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_GT(cm.region[c].tests_run, 0u);
+      expect_same_region(cm.region[c], hm.region[c]);
+      expect_same_region(cm.region[c], alone[c]->region[c]);
+    }
+    expect_costs_near(cm.costs, hm.costs);
+    cost_report sum;
+    sum.vm_usd = alone[0]->costs.vm_usd + alone[1]->costs.vm_usd;
+    sum.egress_usd = alone[0]->costs.egress_usd + alone[1]->costs.egress_usd;
+    sum.storage_usd =
+        alone[0]->costs.storage_usd + alone[1]->costs.storage_usd;
+    expect_costs_near(cm.costs, sum);
+
+    // Each replayed hour fills the campaign's own slots, minus those the
+    // other campaign already filled for the same hour. That happens only
+    // to the second campaign in hour-major order: in campaign-major
+    // order the second campaign's previous hour has restamped the shared
+    // slots by the time it reaches any hour the first one filled.
+    const std::size_t hours = static_cast<std::size_t>(two_days().count());
+    for (int c = 0; c < 2; ++c) {
+      ASSERT_EQ(alone[c]->fills[c].size(), hours);
+      EXPECT_TRUE(alone[1 - c]->fills[c].empty());
+      for (const std::uint64_t n : alone[c]->fills[c]) {
+        EXPECT_EQ(n, cm.own_slots[c]);
+      }
+    }
+    ASSERT_EQ(hm.fills[0].size(), hours);
+    ASSERT_EQ(cm.fills[1].size(), hours);
+    for (std::size_t h = 0; h < hours; ++h) {
+      EXPECT_EQ(hm.fills[0][h], a);
+      EXPECT_EQ(hm.fills[1][h], b - shared);
+      EXPECT_EQ(cm.fills[0][h], a);
+      EXPECT_EQ(cm.fills[1][h], b);
+    }
+
+    // The worker count changes nothing, costs included.
+    if (workers == 1) {
+      serial = std::move(runs);
+      continue;
+    }
+    for (const auto& [order, run] : runs) {
+      const two_campaign_result& ref = serial.at(order);
+      for (int c = 0; c < 2; ++c) {
+        expect_same_region(ref.region[c], run.region[c]);
+        EXPECT_EQ(ref.fills[c], run.fills[c]);
+      }
+      expect_same_costs(ref.costs, run.costs);
+    }
   }
 }
 

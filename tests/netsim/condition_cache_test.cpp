@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "netsim/network.hpp"
 #include "netsim/routing.hpp"
+#include "obs/families.hpp"
+#include "obs/metrics.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -54,6 +58,11 @@ class ConditionCacheTest : public ::testing::Test {
         planner_.endpoint_of_host(net_.vantage_points.front());
     path_ = planner_.to_cloud(src, vm, service_tier::premium);
     back_ = planner_.from_cloud(vm, src, service_tier::premium);
+    // A second vantage point's path: its own access link at least is off
+    // path_.
+    const endpoint other_src =
+        planner_.endpoint_of_host(net_.vantage_points.back());
+    other_ = planner_.to_cloud(other_src, vm, service_tier::premium);
   }
 
   link_condition direct(link_index l, link_dir dir, hour_stamp at) const {
@@ -64,8 +73,29 @@ class ConditionCacheTest : public ::testing::Test {
 
   internet& net_;
   route_planner planner_;
-  route_path path_, back_;
+  route_path path_, back_, other_;
 };
+
+std::vector<std::uint32_t> sorted_distinct(std::vector<std::uint32_t> v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+// Slots of `a` that are not in `b` (both sorted).
+std::vector<std::uint32_t> minus(const std::vector<std::uint32_t>& a,
+                                 const std::vector<std::uint32_t>& b) {
+  std::vector<std::uint32_t> out;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
+  return out;
+}
+
+std::uint64_t prefill_links_total() {
+  return obs::metrics_registry::instance()
+      .get_counter(obs::family::kCachePrefillLinks)
+      .value();
+}
 
 TEST_F(ConditionCacheTest, NullNetRejected) {
   EXPECT_THROW(condition_cache(nullptr), invalid_argument_error);
@@ -110,6 +140,105 @@ TEST_F(ConditionCacheTest, PooledPrefillMatchesSerialPrefill) {
       expect_same_condition(*a, *b);
     }
   }
+
+  // The same over a slot subset: the back path's slots only, in the
+  // order the path crosses them.
+  condition_cache serial_subset(&net_);
+  condition_cache pooled_subset(&net_);
+  std::vector<std::uint32_t> path_slots;
+  std::vector<std::uint32_t> back_slots;
+  for (condition_cache* c : {&serial_subset, &pooled_subset}) {
+    path_slots.clear();
+    back_slots.clear();
+    c->register_path(path_, &path_slots);
+    c->register_path(back_, &back_slots);
+  }
+  serial_subset.prefill(t, back_slots);
+  pooled_subset.prefill(t, back_slots, &pool);
+  for (const link_index l : path_links(back_)) {
+    for (const link_dir dir : {link_dir::a_to_b, link_dir::b_to_a}) {
+      const link_condition* a = serial_subset.lookup(l, dir, t);
+      const link_condition* b = pooled_subset.lookup(l, dir, t);
+      ASSERT_NE(a, nullptr);
+      ASSERT_NE(b, nullptr);
+      expect_same_condition(*a, *b);
+      expect_same_condition(*b, direct(l, dir, t));
+    }
+  }
+  for (const std::uint32_t slot : minus(sorted_distinct(path_slots),
+                                        sorted_distinct(back_slots))) {
+    EXPECT_EQ(serial_subset.slot_pair(slot, t), nullptr);
+    EXPECT_EQ(pooled_subset.slot_pair(slot, t), nullptr);
+  }
+}
+
+TEST_F(ConditionCacheTest, SubsetPrefillLeavesOtherSlotsMissing) {
+  network_view view(&net_);
+  network_view plain_view(&net_);
+  condition_cache& cache = view.link_cache();
+  std::vector<std::uint32_t> a;
+  std::vector<std::uint32_t> b;
+  cache.register_path(path_, &a);
+  cache.register_path(other_, &b);
+  a = sorted_distinct(a);
+  b = sorted_distinct(b);
+  const std::vector<std::uint32_t> only_b = minus(b, a);
+  ASSERT_FALSE(only_b.empty());
+
+  path_arena arena;
+  arena.add(view.flatten(other_));
+  arena.resolve(cache);
+
+  const hour_stamp h = hour_stamp::from_civil({2020, 7, 9}, 20);
+  // B's slots hold hour h - 1; then only A is prefilled for h.
+  cache.prefill(h + (-1), b);
+  cache.prefill(h, a);
+  for (const link_index l : path_links(other_)) {
+    if (!std::binary_search(only_b.begin(), only_b.end(), cache.slot(l))) {
+      continue;
+    }
+    for (const link_dir dir : {link_dir::a_to_b, link_dir::b_to_a}) {
+      EXPECT_EQ(cache.lookup(l, dir, h), nullptr);
+      ASSERT_NE(cache.lookup(l, dir, h + (-1)), nullptr);
+    }
+  }
+  // A batch sweep through B's slots takes the direct computation for
+  // them and still matches the uncached evaluation bit for bit.
+  path_metrics batched;
+  view.evaluate_batch(arena, h, 0, 1, &batched);
+  expect_same_metrics(batched, plain_view.evaluate(other_, h));
+  expect_same_metrics(view.evaluate(other_, h),
+                      plain_view.evaluate(other_, h));
+}
+
+TEST_F(ConditionCacheTest, OverlappingPrefillsFillSharedSlotsOnce) {
+  obs::set_enabled(true);
+  condition_cache cache(&net_);
+  std::vector<std::uint32_t> a;
+  std::vector<std::uint32_t> b;
+  cache.register_path(path_, &a);
+  cache.register_path(back_, &b);
+  cache.register_path(other_, &b);
+  a = sorted_distinct(a);
+  b = sorted_distinct(b);
+  std::vector<std::uint32_t> both;
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(both));
+  ASSERT_LT(both.size(), a.size() + b.size());  // the sets overlap
+
+  const hour_stamp h = hour_stamp::from_civil({2020, 8, 2}, 9);
+  const std::uint64_t before = prefill_links_total();
+  cache.prefill(h, a);
+  cache.prefill(h, b);
+  EXPECT_EQ(prefill_links_total() - before, both.size());
+  // Everything is stamped for h now: a full prefill fills nothing, the
+  // next hour refills every slot once.
+  cache.prefill(h);
+  EXPECT_EQ(prefill_links_total() - before, both.size());
+  cache.prefill(h + 1);
+  EXPECT_EQ(prefill_links_total() - before,
+            both.size() + cache.registered_count());
+  obs::set_enabled(false);
 }
 
 TEST_F(ConditionCacheTest, MissesReturnNull) {
