@@ -93,8 +93,7 @@ int main() {
     score(thinned, *gt, data.tz[i], full_6h);
 
     // C. hourly in-band probes of the same download path.
-    const std::size_t sid = static_cast<std::size_t>(
-        std::stoul(data.series[i]->tag("server").value_or("0")));
+    const std::size_t sid = data.server_ids[i];
     const endpoint server_ep = platform.planner().endpoint_of_host(
         platform.registry().server(sid).host);
     const route_path path =

@@ -32,8 +32,7 @@ std::vector<ranked_server> top_congested(const clasp_platform& platform,
   std::vector<ranked_server> ranked;
   for (std::size_t i = 0; i < data.series.size(); ++i) {
     const auto summary = summarize_server(*data.series[i], data.tz[i], 0.5);
-    const std::size_t sid = static_cast<std::size_t>(
-        std::stoul(data.series[i]->tag("server").value_or("0")));
+    const std::size_t sid = data.server_ids[i];
     ranked.push_back({data.series[i], data.tz[i],
                       platform.registry().server(sid).name,
                       summary.congested_hours});

@@ -25,8 +25,7 @@ category_counts tally(const clasp_platform& platform,
   const auto data =
       platform.download_series(campaign, region, "download_mbps", tier);
   for (std::size_t i = 0; i < data.series.size(); ++i) {
-    const std::size_t sid = static_cast<std::size_t>(
-        std::stoul(data.series[i]->tag("server").value_or("0")));
+    const std::size_t sid = data.server_ids[i];
     const speed_server& server = platform.registry().server(sid);
     const business_type type = platform.net().ipinfo.type_of(server.network);
     const auto summary = summarize_server(*data.series[i], data.tz[i], 0.5);

@@ -41,8 +41,7 @@ int main() {
               inband_probe_volume(probe_cfg).value);
   for (std::size_t i = 0; i < std::min<std::size_t>(data.series.size(), 3);
        ++i) {
-    const std::size_t sid = static_cast<std::size_t>(
-        std::stoul(data.series[i]->tag("server").value_or("0")));
+    const std::size_t sid = data.server_ids[i];
     const endpoint server_ep = platform.planner().endpoint_of_host(
         platform.registry().server(sid).host);
     const route_path path =

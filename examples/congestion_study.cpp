@@ -31,8 +31,7 @@ int main() {
   };
   std::vector<ranked> networks;
   for (std::size_t i = 0; i < data.series.size(); ++i) {
-    const std::size_t sid = static_cast<std::size_t>(
-        std::stoul(data.series[i]->tag("server").value_or("0")));
+    const std::size_t sid = data.server_ids[i];
     networks.push_back(
         {platform.registry().server(sid).name,
          summarize_server(*data.series[i], data.tz[i], threshold)});
@@ -56,8 +55,7 @@ int main() {
   const ts_series* worst = nullptr;
   timezone_offset worst_tz{};
   for (std::size_t i = 0; i < data.series.size(); ++i) {
-    const std::size_t sid = static_cast<std::size_t>(
-        std::stoul(data.series[i]->tag("server").value_or("0")));
+    const std::size_t sid = data.server_ids[i];
     if (platform.registry().server(sid).name == networks.front().name) {
       worst = data.series[i];
       worst_tz = data.tz[i];

@@ -40,7 +40,8 @@ int main() {
   std::printf("\n%-44s %10s %10s %10s\n", "server", "median dl Δ",
               "median ul Δ", "median lat Δ");
   std::size_t std_faster = 0;
-  for (const ts_series* ps : prem.series) {
+  for (std::size_t i = 0; i < prem.series.size(); ++i) {
+    const ts_series* ps = prem.series[i];
     tag_set std_tags = ps->tags();
     std_tags["campaign"] = "diff-standard";
     std_tags["tier"] = "standard";
@@ -57,10 +58,8 @@ int main() {
                                : std::vector<double>{};
     const auto lat = (pl && sl) ? relative_differences(*pl, *sl)
                                 : std::vector<double>{};
-    const std::size_t sid = static_cast<std::size_t>(
-        std::stoul(ps->tag("server").value_or("0")));
     std::printf("%-44s %9.1f%% %9.1f%% %9.1f%%\n",
-                platform.registry().server(sid).name.c_str(),
+                platform.registry().server(prem.server_ids[i]).name.c_str(),
                 dl.empty() ? 0.0 : 100.0 * median(dl),
                 ul.empty() ? 0.0 : 100.0 * median(ul),
                 lat.empty() ? 0.0 : 100.0 * median(lat));

@@ -1,6 +1,7 @@
 #include "clasp/analysis.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <unordered_map>
 
@@ -12,10 +13,11 @@ namespace clasp {
 namespace {
 
 // Visit a series' points grouped by local day. The store enforces
-// time-ordered appends, so local_day_index is non-decreasing over the
-// point array and each day is one contiguous run — no map, no per-point
-// allocation, same visit order as sorting by day. `fn` receives
-// (local_day, begin, end) with [begin, end) the day's points.
+// time-ordered appends, so each day is one contiguous run of the point
+// array, ending at the first stamp at or past the next local midnight —
+// no map, no per-point day computation, same visit order as sorting by
+// day. `fn` receives (local_day, begin, end) with [begin, end) the day's
+// points.
 template <typename Fn>
 void for_each_local_day(const ts_series& series, timezone_offset tz,
                         Fn&& fn) {
@@ -25,8 +27,9 @@ void for_each_local_day(const ts_series& series, timezone_offset tz,
   const ts_point* run = first;
   while (run != last) {
     const std::int64_t day = run->at.local_day_index(tz);
+    const std::int64_t day_end = (day + 1) * 24 - tz.hours_east_of_utc;
     const ts_point* next = run + 1;
-    while (next != last && next->at.local_day_index(tz) == day) ++next;
+    while (next != last && next->at.hours_since_epoch() < day_end) ++next;
     fn(day, run, next);
     run = next;
   }
@@ -96,14 +99,31 @@ threshold_sweep sweep_thresholds(const std::vector<const ts_series*>& series,
         static_cast<double>(i) / static_cast<double>(grid_points - 1);
   }
 
-  // Collect all V(s,d) and V_H(s,t) values once, then sweep. One pass
-  // over each series yields both: a day's V is derived from the same
-  // t_max/t_min scan its hours' V_H values need, so labeling twice (once
-  // through daily_variability, once through intraday_labels) would redo
-  // the grouping and the max scan for nothing.
+  // Count every V(s,d) and V_H(s,t) into the first grid point whose
+  // threshold is >= the value: the lower_bound index into `thresholds`,
+  // with grid_points for values above 1. #{V <= H_i} is then the sum of
+  // buckets 0..i, so each fraction below is the same double that
+  // 1 - cdf_at(sorted values, H_i) gives, without collecting or sorting
+  // the values. One pass over each series yields both: a day's V is
+  // derived from the same t_max/t_min scan its hours' V_H values need.
+  const std::vector<double>& grid = sweep.thresholds;
+  const double steps = static_cast<double>(grid_points - 1);
+  const auto bucket_of = [&](double v) -> std::size_t {
+    if (!(v <= 1.0)) return grid_points;  // above every H (NaN too)
+    if (v <= 0.0) return 0;
+    // v * steps is rounded, and grid[i] is i / steps rounded, so the
+    // ceiling can miss by one either way; settle it against the grid.
+    // v <= 1 keeps the ceiling <= steps, and grid.back() == 1.0 >= v.
+    auto i = static_cast<std::size_t>(std::ceil(v * steps));
+    while (i > 0 && grid[i - 1] >= v) --i;
+    while (grid[i] < v) ++i;
+    return i;
+  };
   constexpr std::size_t kMinSamples = 12;  // the label functions' default
-  std::vector<double> day_vs;
-  std::vector<double> hour_vs;
+  std::vector<std::size_t> day_buckets(grid_points + 1, 0);
+  std::vector<std::size_t> hour_buckets(grid_points + 1, 0);
+  std::size_t days = 0;
+  std::size_t hours = 0;
   for (std::size_t si = 0; si < series.size(); ++si) {
     for_each_local_day(
         *series[si], tz_of[si],
@@ -115,24 +135,33 @@ threshold_sweep sweep_thresholds(const std::vector<const ts_series*>& series,
             t_max = std::max(t_max, p->value);
             t_min = std::min(t_min, p->value);
           }
-          day_vs.push_back(t_max > 0.0 ? (t_max - t_min) / t_max : 0.0);
+          ++day_buckets[bucket_of(t_max > 0.0 ? (t_max - t_min) / t_max
+                                              : 0.0)];
           for (const ts_point* p = begin; p != end; ++p) {
-            hour_vs.push_back(t_max > 0.0 ? (t_max - p->value) / t_max : 0.0);
+            ++hour_buckets[bucket_of(
+                t_max > 0.0 ? (t_max - p->value) / t_max : 0.0)];
           }
+          ++days;
+          hours += static_cast<std::size_t>(end - begin);
         });
   }
-  std::sort(day_vs.begin(), day_vs.end());
-  std::sort(hour_vs.begin(), hour_vs.end());
 
   sweep.day_fraction.resize(grid_points);
   sweep.hour_fraction.resize(grid_points);
+  std::size_t days_at_or_below = 0;
+  std::size_t hours_at_or_below = 0;
   for (std::size_t i = 0; i < grid_points; ++i) {
-    const double h = sweep.thresholds[i];
-    // Fraction strictly greater than h.
+    days_at_or_below += day_buckets[i];
+    hours_at_or_below += hour_buckets[i];
+    // Fraction strictly greater than H_i.
     sweep.day_fraction[i] =
-        day_vs.empty() ? 0.0 : 1.0 - cdf_at(day_vs, h);
+        days == 0 ? 0.0
+                  : 1.0 - static_cast<double>(days_at_or_below) /
+                              static_cast<double>(days);
     sweep.hour_fraction[i] =
-        hour_vs.empty() ? 0.0 : 1.0 - cdf_at(hour_vs, h);
+        hours == 0 ? 0.0
+                   : 1.0 - static_cast<double>(hours_at_or_below) /
+                               static_cast<double>(hours);
   }
   return sweep;
 }

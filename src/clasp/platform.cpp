@@ -1,6 +1,7 @@
 #include "clasp/platform.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -229,13 +230,21 @@ clasp_platform::labeled_series clasp_platform::download_series(
   filter.required["region"] = region;
   if (!tier.empty()) filter.required["tier"] = tier;
   for (const ts_series* s : store_.query(metric, filter)) {
-    out.series.push_back(s);
     const auto server_tag = s->tag("server");
     if (!server_tag) {
       throw state_error("clasp_platform: series missing server tag");
     }
-    out.tz.push_back(
-        timezone_of_server(static_cast<std::size_t>(std::stoul(*server_tag))));
+    std::size_t server_id = 0;
+    const char* const tag_end = server_tag->data() + server_tag->size();
+    const auto [parsed_end, ec] =
+        std::from_chars(server_tag->data(), tag_end, server_id);
+    if (ec != std::errc{} || parsed_end != tag_end) {
+      throw state_error("clasp_platform: bad server tag '" + *server_tag +
+                        "'");
+    }
+    out.series.push_back(s);
+    out.tz.push_back(timezone_of_server(server_id));
+    out.server_ids.push_back(server_id);
   }
   return out;
 }

@@ -181,9 +181,12 @@ class clasp_platform {
   // --- helpers ---
   timezone_offset timezone_of_server(std::size_t server_id) const;
   // Query download series + matching timezones for a campaign label+region.
+  // All three vectors are index-aligned. A series whose `server` tag is
+  // missing or not a whole decimal server id throws state_error.
   struct labeled_series {
     std::vector<const ts_series*> series;
     std::vector<timezone_offset> tz;
+    std::vector<std::size_t> server_ids;
   };
   labeled_series download_series(const std::string& campaign_label,
                                  const std::string& region,

@@ -79,10 +79,8 @@ std::string render_campaign_report(clasp_platform& platform,
   };
   std::vector<row> rows;
   for (std::size_t i = 0; i < data.series.size(); ++i) {
-    const std::size_t sid = static_cast<std::size_t>(
-        std::stoul(data.series[i]->tag("server").value_or("0")));
     row r;
-    r.name = platform.registry().server(sid).name;
+    r.name = platform.registry().server(data.server_ids[i]).name;
     r.summary =
         summarize_server(*data.series[i], data.tz[i], options.threshold);
     r.split =

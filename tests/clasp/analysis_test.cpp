@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace clasp {
 namespace {
@@ -119,6 +125,185 @@ TEST(SweepTest, ElbowFindsTransition) {
   const double elbow = choose_threshold_elbow(sweep);
   EXPECT_GT(elbow, 0.15);
   EXPECT_LT(elbow, 0.6);
+}
+
+// Reference for sweep_thresholds: group points by local day through a
+// map, collect every V(s,d) and V_H(s,t), sort them, and read the share
+// above each H as 1 - cdf_at. Shares no code with the counting sweep
+// beyond the series and timezone types.
+threshold_sweep sorted_cdf_sweep(const std::vector<const ts_series*>& series,
+                                 const std::vector<timezone_offset>& tz,
+                                 std::size_t grid_points) {
+  std::vector<double> day_vs;
+  std::vector<double> hour_vs;
+  for (std::size_t si = 0; si < series.size(); ++si) {
+    std::map<std::int64_t, std::vector<double>> by_day;
+    for (const ts_point& p : series[si]->points()) {
+      by_day[p.at.local_day_index(tz[si])].push_back(p.value);
+    }
+    for (const auto& [day, values] : by_day) {
+      if (values.size() < 12) continue;
+      const double t_max = *std::max_element(values.begin(), values.end());
+      const double t_min = *std::min_element(values.begin(), values.end());
+      day_vs.push_back(t_max > 0.0 ? (t_max - t_min) / t_max : 0.0);
+      for (const double v : values) {
+        hour_vs.push_back(t_max > 0.0 ? (t_max - v) / t_max : 0.0);
+      }
+    }
+  }
+  std::sort(day_vs.begin(), day_vs.end());
+  std::sort(hour_vs.begin(), hour_vs.end());
+  threshold_sweep ref;
+  for (std::size_t i = 0; i < grid_points; ++i) {
+    const double h =
+        static_cast<double>(i) / static_cast<double>(grid_points - 1);
+    ref.thresholds.push_back(h);
+    ref.day_fraction.push_back(day_vs.empty() ? 0.0
+                                              : 1.0 - cdf_at(day_vs, h));
+    ref.hour_fraction.push_back(hour_vs.empty() ? 0.0
+                                                : 1.0 - cdf_at(hour_vs, h));
+  }
+  return ref;
+}
+
+// Bit-for-bit agreement, at every grid size the oracle test covers.
+void expect_matches_oracle(const std::vector<const ts_series*>& series,
+                           const std::vector<timezone_offset>& tz) {
+  for (const std::size_t grid_points : {3u, 11u, 21u, 101u}) {
+    SCOPED_TRACE(::testing::Message() << "grid_points " << grid_points);
+    const threshold_sweep got = sweep_thresholds(series, tz, grid_points);
+    const threshold_sweep want = sorted_cdf_sweep(series, tz, grid_points);
+    ASSERT_EQ(got.thresholds.size(), grid_points);
+    ASSERT_EQ(got.day_fraction.size(), grid_points);
+    ASSERT_EQ(got.hour_fraction.size(), grid_points);
+    for (std::size_t i = 0; i < grid_points; ++i) {
+      EXPECT_EQ(got.thresholds[i], want.thresholds[i]) << "i=" << i;
+      EXPECT_EQ(got.day_fraction[i], want.day_fraction[i]) << "i=" << i;
+      EXPECT_EQ(got.hour_fraction[i], want.hour_fraction[i]) << "i=" << i;
+    }
+    EXPECT_EQ(choose_threshold_elbow(got), choose_threshold_elbow(want));
+  }
+}
+
+// One UTC day of 24 points starting at `day_start`: `values` first, then
+// `fill` for the remaining hours.
+void append_day(ts_series& s, hour_stamp day_start,
+                const std::vector<double>& values, double fill) {
+  for (int h = 0; h < 24; ++h) {
+    const auto i = static_cast<std::size_t>(h);
+    s.append(day_start + h, i < values.size() ? values[i] : fill);
+  }
+}
+
+TEST(SweepTest, MatchesSortedCdfOracle) {
+  const hour_stamp start = hour_stamp::from_civil({2020, 5, 1}, 0);
+
+  // Random multi-day series in three timezones, starting mid-day and
+  // with dropped hours, so partial and sub-12-sample days occur.
+  rng r(17);
+  const std::vector<timezone_offset> zones{timezone_offset{-7},
+                                           timezone_offset{0},
+                                           timezone_offset{5}};
+  std::vector<ts_series> randoms;
+  for (std::size_t k = 0; k < 9; ++k) {
+    ts_series s("download_mbps", {{"server", std::to_string(k)}});
+    const hour_stamp first = start + static_cast<std::int64_t>(k) * 5;
+    for (int h = 0; h < 24 * 40; ++h) {
+      const bool sparse_day = (h / 24) % 7 == 3;
+      if (r.bernoulli(sparse_day ? 0.6 : 0.05)) continue;
+      s.append(first + h, r.uniform(50.0, 900.0));
+    }
+    randoms.push_back(std::move(s));
+  }
+  std::vector<const ts_series*> random_series;
+  std::vector<timezone_offset> random_tz;
+  for (std::size_t k = 0; k < randoms.size(); ++k) {
+    random_series.push_back(&randoms[k]);
+    random_tz.push_back(zones[k % zones.size()]);
+  }
+  {
+    SCOPED_TRACE("random series");
+    expect_matches_oracle(random_series, random_tz);
+  }
+
+  // Days whose V or V_H sits exactly on a grid point or next to one.
+  // With t_max = 3, a point one ulp either side of 1.5 gives V_H one
+  // ulp either side of 0.5.
+  const double below_half = std::nextafter(0.5, 0.0);
+  const double above_half = std::nextafter(0.5, 1.0);
+  const double to_below = std::nextafter(1.5, 2.0);
+  const double to_above = std::nextafter(1.5, 1.0);
+  ASSERT_EQ((3.0 - to_below) / 3.0, below_half);
+  ASSERT_EQ((3.0 - to_above) / 3.0, above_half);
+  ts_series exact("download_mbps", {{"server", "exact"}});
+  append_day(exact, start, {300.0, 200.0}, 400.0);       // V .5, V_H .25 .5
+  append_day(exact, start + 24, {300.0}, 400.0);         // V .25
+  append_day(exact, start + 48, {}, 400.0);              // V 0, V_H 0
+  append_day(exact, start + 72, {0.0, 200.0}, 400.0);    // V 1, V_H 1 .5
+  append_day(exact, start + 96, {to_below}, 3.0);        // V just below .5
+  append_day(exact, start + 120, {to_above}, 3.0);       // V just above .5
+  append_day(exact, start + 144, {to_below, to_above, 1.5}, 3.0);
+  append_day(exact, start + 168, {-50.0}, 100.0);        // V, V_H 1.5 > 1
+  append_day(exact, start + 192, {-20.0}, -10.0);        // t_max < 0: V 0
+  // With t_max = S, a point at S - k gives V_H = k / S rounded: the very
+  // double grid point k of an S-step grid holds. With t_max = 1, a point
+  // at 1 - x gives V_H = x exactly for any x in [0.5, 1], so the one-ulp
+  // neighbours of the upper grid points occur too; these are the values
+  // for which k / S rounding cannot decide the bucket alone.
+  std::vector<std::pair<double, std::vector<double>>> days;  // t_max, points
+  for (const double steps : {2.0, 10.0, 20.0, 100.0}) {
+    std::vector<double> on_grid;
+    std::vector<double> beside_grid;
+    for (double k = 0.0; k <= steps; k += 1.0) {
+      on_grid.push_back(steps - k);
+      const double g = k / steps;
+      if (g < 0.5) continue;
+      beside_grid.push_back(1.0 - std::nextafter(g, 0.0));
+      beside_grid.push_back(1.0 - std::nextafter(g, 2.0));
+    }
+    for (const auto& [t_max, points] :
+         {std::pair{steps, on_grid}, std::pair{1.0, beside_grid}}) {
+      for (std::size_t i = 0; i < points.size(); i += 23) {
+        const std::size_t n = std::min<std::size_t>(23, points.size() - i);
+        days.emplace_back(t_max, std::vector<double>(&points[i],
+                                                     &points[i] + n));
+      }
+    }
+  }
+  hour_stamp day = start + 216;
+  for (const auto& [t_max, points] : days) {
+    append_day(exact, day, points, t_max);
+    day = day + 24;
+  }
+  {
+    SCOPED_TRACE("exact grid values");
+    expect_matches_oracle({&exact}, {kUtc});
+  }
+
+  // All-zero series: t_max == 0 on every day, so every V and V_H is 0.
+  const ts_series zeros = make_series(5, [](unsigned, int) { return 0.0; });
+  {
+    SCOPED_TRACE("all-zero series");
+    expect_matches_oracle({&zeros}, {kUtc});
+  }
+
+  // Days with 11 samples are skipped and days with 12 are kept; a
+  // series with only skipped days yields all-zero fractions.
+  ts_series sparse("download_mbps", {{"server", "sparse"}});
+  for (int h = 0; h < 11; ++h) sparse.append(start + h, 100.0 + h);
+  for (int h = 0; h < 12; ++h) sparse.append(start + 24 + h, 100.0 + 7 * h);
+  ts_series only_short("download_mbps", {{"server", "short"}});
+  for (int h = 0; h < 11; ++h) only_short.append(start + h, 100.0 + h);
+  {
+    SCOPED_TRACE("short days");
+    expect_matches_oracle({&sparse}, {kUtc});
+    expect_matches_oracle({&only_short}, {kUtc});
+    const threshold_sweep none = sweep_thresholds({&only_short}, {kUtc});
+    for (std::size_t i = 0; i < none.thresholds.size(); ++i) {
+      EXPECT_EQ(none.day_fraction[i], 0.0);
+      EXPECT_EQ(none.hour_fraction[i], 0.0);
+    }
+  }
 }
 
 TEST(SummarizeTest, CongestedServerRule) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "test_support.hpp"
 #include "util/error.hpp"
@@ -59,6 +60,40 @@ TEST(PlatformTest, DownloadSeriesFilterByTier) {
   EXPECT_EQ(all.series.size(), premium.series.size());
   EXPECT_TRUE(standard.series.empty());
   EXPECT_EQ(all.series.size(), all.tz.size());
+}
+
+TEST(PlatformTest, DownloadSeriesParsesServerIds) {
+  auto& p = small_platform();
+  const hour_stamp at = hour_stamp::from_civil({2020, 9, 1}, 0);
+  p.store().write("download_mbps",
+                  {{"campaign", "server-tag-ok"}, {"region", "us-west1"},
+                   {"server", "7"}},
+                  at, 100.0);
+  const auto data = p.download_series("server-tag-ok", "us-west1");
+  ASSERT_EQ(data.server_ids.size(), 1u);
+  EXPECT_EQ(data.server_ids[0], 7u);
+  EXPECT_EQ(data.tz[0].hours_east_of_utc,
+            p.timezone_of_server(7).hours_east_of_utc);
+}
+
+TEST(PlatformTest, DownloadSeriesRejectsMalformedServerTag) {
+  auto& p = small_platform();
+  const hour_stamp at = hour_stamp::from_civil({2020, 9, 1}, 0);
+  for (const char* bad :
+       {"abc", "12x", "", "-3", " 5", "99999999999999999999999"}) {
+    const std::string campaign = std::string("server-tag-bad-") + bad;
+    p.store().write("download_mbps",
+                    {{"campaign", campaign}, {"region", "us-west1"},
+                     {"server", bad}},
+                    at, 100.0);
+    EXPECT_THROW(p.download_series(campaign, "us-west1"), state_error)
+        << "server tag '" << bad << "'";
+  }
+  p.store().write("download_mbps",
+                  {{"campaign", "server-tag-missing"}, {"region", "us-west1"}},
+                  at, 100.0);
+  EXPECT_THROW(p.download_series("server-tag-missing", "us-west1"),
+               state_error);
 }
 
 TEST(PlatformTest, SometaMetadataRecorded) {

@@ -16,6 +16,7 @@ namespace clasp::dist {
 namespace {
 
 namespace fs = std::filesystem;
+using namespace std::string_literals;
 
 fs::path test_dir() {
   const fs::path dir =
@@ -40,7 +41,7 @@ struct socket_pair {
 
 TEST(Channel, FdRoundTripsPayloads) {
   socket_pair p;
-  const std::string binary("\x00\x01\xff framed \x7f\x00", 16);
+  const std::string binary = "\x00\x01\xff framed \x7f\x00"s;
   p.a->send("hello");
   p.a->send("");
   p.a->send(binary);
