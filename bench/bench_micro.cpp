@@ -5,8 +5,9 @@
 // a complete speed test, traceroute, and time-series writes.
 //
 // BM_CampaignHour additionally writes BENCH_campaign.json next to the
-// binary: per-(workers, cached) ns/hour plus the cached-vs-uncached
-// speedup ratio, for machine consumption by CI trend tracking.
+// binary: per-(workers, fleet_scale) ns/hour plus BM_LinkHourEval's
+// batched-vs-per-session speedup, for machine consumption by CI trend
+// tracking.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include <memory>
 #include <string_view>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -31,13 +31,13 @@ namespace {
 
 using namespace clasp;
 
-// (workers, cached, fleet_scale, batch) -> accumulated run_hour time,
-// for BENCH_campaign.json.
+// (workers, fleet_scale) -> accumulated run_hour time, for
+// BENCH_campaign.json.
 struct campaign_bench_total {
   double ns{0.0};
   std::int64_t hours{0};
 };
-using campaign_bench_key = std::tuple<int, int, int, int>;
+using campaign_bench_key = std::pair<int, int>;
 std::map<campaign_bench_key, campaign_bench_total>& campaign_totals() {
   static auto* totals =
       new std::map<campaign_bench_key, campaign_bench_total>();
@@ -234,17 +234,12 @@ BENCHMARK(BM_TsdbQuery);
 
 void BM_CampaignHour(benchmark::State& state) {
   // One simulated campaign hour (the unit every figure bench replays
-  // thousands of times), across worker counts, the link-condition cache
-  // on/off, fleet scale 1x/10x and the batched arena evaluator on/off
-  // (off = the pre-refactor per-session path, kept as the legacy
-  // baseline). Each configuration deploys its own fleet against its
-  // platform's substrate; the hour counter never rewinds so TSDB appends
-  // stay time-ordered (which also guarantees an uncached configuration
-  // never hits a stale prefilled epoch — the hour always moved on).
+  // thousands of times), across worker counts and fleet scale 1x/10x.
+  // Each configuration deploys its own fleet against its platform's
+  // substrate; the hour counter never rewinds so TSDB appends stay
+  // time-ordered.
   const int workers = static_cast<int>(state.range(0));
-  const bool cached = state.range(1) != 0;
-  const int scale = static_cast<int>(state.range(2));
-  const bool batch = state.range(3) != 0;
+  const int scale = static_cast<int>(state.range(1));
   auto& p = scale > 1 ? scaled_platform() : shared_platform();
   // 64 base US servers; the scaled platform fans each out to its
   // replicas (640 sessions at 10x).
@@ -260,18 +255,15 @@ void BM_CampaignHour(benchmark::State& state) {
   static auto* runners =
       new std::map<campaign_bench_key, std::unique_ptr<campaign_runner>>();
   static std::int64_t h = 0;
-  const campaign_bench_key key{workers, cached ? 1 : 0, scale, batch ? 1 : 0};
+  const campaign_bench_key key{workers, scale};
   std::unique_ptr<campaign_runner>& slot = (*runners)[key];
   if (!slot) {
     campaign_config cfg;
     cfg.region = "us-east1";
-    cfg.label = "bench-hour-" + std::to_string(workers) +
-                (cached ? "-cached" : "-uncached") + "-x" +
-                std::to_string(scale) + (batch ? "-batch" : "-legacy");
+    cfg.label = "bench-hour-" + std::to_string(workers) + "-x" +
+                std::to_string(scale);
     cfg.tests_per_vm_hour = 17;  // the paper's VM budget: 4 VMs, 64 servers
     cfg.workers = static_cast<unsigned>(workers);
-    cfg.link_cache = cached;
-    cfg.batch_eval = batch;
     slot = std::make_unique<campaign_runner>(&p.cloud(), &p.view(),
                                              &p.registry(), &p.store());
     slot->deploy(cfg, servers);
@@ -298,30 +290,21 @@ void BM_CampaignHour(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(servers.size()));
   state.SetLabel(std::to_string(runner.vm_count()) + " VMs, " +
-                 std::to_string(runner.workers()) + " workers, cache " +
-                 (cached ? "on" : "off") + ", x" + std::to_string(scale) +
-                 (batch ? ", batch" : ", legacy"));
+                 std::to_string(runner.workers()) + " workers, x" +
+                 std::to_string(scale));
 }
 BENCHMARK(BM_CampaignHour)->Apply([](benchmark::internal::Benchmark* b) {
-  // {workers, cached, fleet_scale, batch}
-  b->Args({1, 0, 1, 1});
-  b->Args({1, 1, 1, 1});
-  b->Args({2, 0, 1, 1});
-  b->Args({2, 1, 1, 1});
-  b->Args({4, 1, 1, 1});
-  // The legacy per-session path at 1x (regression sentinel for the
-  // batch=off fallback)...
-  b->Args({1, 1, 1, 0});
-  // ...and the 10x fleet, legacy-uncached vs batched-cached: the pair
-  // behind BENCH_campaign.json's speedup_at_10x.
-  b->Args({1, 0, 10, 0});
-  b->Args({1, 1, 10, 1});
+  // {workers, fleet_scale}
+  b->Args({1, 1});
+  b->Args({2, 1});
+  b->Args({4, 1});
+  b->Args({1, 10});
   // Full hardware concurrency, unless that duplicates a config above
-  // (e.g. the 1-CPU bench container, where it would re-run {1, 1, 1, 1}
+  // (e.g. the 1-CPU bench container, where it would re-run {1, 1}
   // against a by-then much larger store and skew the per-config
   // averages).
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw > 4) b->Args({hw, 1, 1, 1});
+  if (hw > 4) b->Args({hw, 1});
   b->Unit(benchmark::kMillisecond)->UseRealTime();
 });
 
@@ -336,8 +319,9 @@ std::map<link_bench_key, campaign_bench_total>& link_eval_totals() {
 void BM_LinkHourEval(benchmark::State& state) {
   // The tentpole fast path in isolation: producing every session path's
   // metrics for one hour at fleet scale. legacy = per-session
-  // evaluate(flat_path) with per-hop condition computation — exactly
-  // what session.run() did before the refactor; batch = one hour-epoch
+  // network_view::evaluate(flat_path) with per-hop condition
+  // computation, the per-session path staging used before the arena
+  // sweep; batch = one hour-epoch
   // prefill of the shared condition cache plus one blocked sweep over
   // the path arena. The two produce bit-identical metrics (asserted by
   // netsim's NetworkBatch tests); this measures only the time. At 10x
@@ -437,18 +421,11 @@ void BM_DailyVariability(benchmark::State& state) {
 }
 BENCHMARK(BM_DailyVariability);
 
-// BENCH_campaign.json: [{workers, cached, fleet_scale, batch,
-// ns_per_hour}, ...] plus one cached_vs_uncached_ratio entry per worker
-// count measured both ways at 1x (uncached ns / cached ns; > 1 means the
-// cache wins), the 1x batched-cached ns/hour (ns_per_hour_1x, the soft
-// perf gate's input), and two 10x-fleet speedups:
-//  * speedup_at_10x — BM_LinkHourEval's batched arena sweep vs the
-//    pre-refactor per-session evaluate path, for the hour's path-metrics
-//    production (the work this refactor targets);
-//  * hour_speedup_at_10x — the whole campaign hour (staging, noise
-//    model, commit and all), batched-cached vs legacy-uncached. Smaller
-//    by Amdahl: per-session measurement-noise synthesis dominates the
-//    hour and is byte-identity-frozen, so no evaluator can touch it.
+// BENCH_campaign.json: [{workers, fleet_scale, ns_per_hour}, ...], the
+// serial 1x ns/hour (ns_per_hour_1x, the soft perf gate's input),
+// BM_LinkHourEval's per-config runs and speedup_at_10x — its batched
+// arena sweep vs per-session evaluate calls for the hour's path-metrics
+// production at 10x fleet.
 void write_campaign_json(const char* path) {
   const auto& totals = campaign_totals();
   if (totals.empty()) return;  // BM_CampaignHour filtered out of the run
@@ -466,30 +443,15 @@ void write_campaign_json(const char* path) {
   bool first = true;
   for (const auto& [key, total] : totals) {
     if (total.hours == 0) continue;
-    const auto [workers, cached, scale, batch] = key;
     std::fprintf(f,
-                 "%s    {\"workers\": %d, \"cached\": %s, "
-                 "\"fleet_scale\": %d, \"batch\": %s, "
+                 "%s    {\"workers\": %d, \"fleet_scale\": %d, "
                  "\"ns_per_hour\": %.1f, \"hours\": %lld}",
-                 first ? "" : ",\n", workers, cached ? "true" : "false",
-                 scale, batch ? "true" : "false",
+                 first ? "" : ",\n", key.first, key.second,
                  total.ns / static_cast<double>(total.hours),
                  static_cast<long long>(total.hours));
     first = false;
   }
-  std::fprintf(f, "\n  ],\n  \"cached_vs_uncached_ratio\": {");
-  first = true;
-  for (const auto& [key, total] : totals) {
-    const auto [workers, cached, scale, batch] = key;
-    if (cached != 0 || scale != 1 || batch != 1 || total.hours == 0) continue;
-    const double uncached = total.ns / static_cast<double>(total.hours);
-    const double cached_ns = ns_per_hour({workers, 1, 1, 1});
-    if (cached_ns <= 0.0) continue;
-    std::fprintf(f, "%s\"%d\": %.3f", first ? "" : ", ", workers,
-                 uncached / cached_ns);
-    first = false;
-  }
-  std::fprintf(f, "}");
+  std::fprintf(f, "\n  ]");
   // BM_LinkHourEval's per-config ns/hour (path-metrics production only).
   const auto& link_totals = link_eval_totals();
   const auto link_ns_per_hour = [&](const link_bench_key& key) {
@@ -513,18 +475,10 @@ void write_campaign_json(const char* path) {
     }
     std::fprintf(f, "\n  ]");
   }
-  // The soft perf gate's input: serial batched-cached ns/hour at 1x.
-  const double one_x = ns_per_hour({1, 1, 1, 1});
+  // The soft perf gate's input: serial ns/hour at 1x.
+  const double one_x = ns_per_hour({1, 1});
   if (one_x > 0.0) {
     std::fprintf(f, ",\n  \"ns_per_hour_1x\": %.1f", one_x);
-  }
-  // 10x fleet, whole campaign hour: batched-cached vs legacy-uncached
-  // (> 1 means the SoA refactor wins end to end).
-  const double legacy_10x = ns_per_hour({1, 0, 10, 0});
-  const double batched_10x = ns_per_hour({1, 1, 10, 1});
-  if (legacy_10x > 0.0 && batched_10x > 0.0) {
-    std::fprintf(f, ",\n  \"hour_speedup_at_10x\": %.3f",
-                 legacy_10x / batched_10x);
   }
   // 10x fleet, the hour's path-metrics production: batched arena sweep
   // (prefill + blocked evaluate) vs the pre-refactor per-session
@@ -557,7 +511,6 @@ int run_obs_overhead_bench() {
   cfg.label = "bench-obs";
   cfg.tests_per_vm_hour = 17;
   cfg.workers = 1;  // serial replay: the least noisy hour to time
-  cfg.link_cache = true;
   campaign_runner runner(&p.cloud(), &p.view(), &p.registry(), &p.store());
   runner.deploy(cfg, servers);
 

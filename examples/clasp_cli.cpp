@@ -85,7 +85,6 @@ void usage() {
                "usage: clasp_cli <select|pilot|run|cost|report> [--region R] "
                "[--days N] [--tier premium|standard] [--csv FILE] "
                "[--seed S] [--config FILE] [--workers N] "
-               "[--link-cache on|off] [--batch-eval on|off] "
                "[--fleet-scale N] [--faults off|low|high] "
                "[--swarm off|low|high] "
                "[--checkpoint-dir DIR] [--checkpoint-every HOURS] "
@@ -93,10 +92,6 @@ void usage() {
                "[--heartbeat-every HOURS]\n"
                "  --workers N   campaign replay threads (0 = hardware "
                "concurrency); results are identical for any N\n"
-               "  --link-cache  hour-epoch link-condition cache (default "
-               "on); off only slows replay, results are identical\n"
-               "  --batch-eval  batched link-hour evaluation (default on); "
-               "off only slows replay, results are identical\n"
                "  --fleet-scale N  measure N replicas of every selected "
                "server (default 1 = the paper-scale fleet); the generated "
                "world and the base fleet's results are unchanged\n"
@@ -467,12 +462,6 @@ int main(int argc, char** argv) {
   cfg.internet.seed = opts.seed;
   if (opts.workers >= 0) {
     cfg.campaign_workers = static_cast<unsigned>(opts.workers);
-  }
-  if (opts.link_cache >= 0) {
-    cfg.campaign_link_cache = opts.link_cache != 0;
-  }
-  if (opts.batch_eval >= 0) {
-    cfg.campaign_batch_eval = opts.batch_eval != 0;
   }
   if (opts.fleet_scale > 0) {
     cfg.fleet_scale = static_cast<std::size_t>(opts.fleet_scale);

@@ -122,15 +122,13 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
     // (download first — evaluate_hour and staging index paths 2i, 2i+1).
     arena_.add(sessions_.back().flat_download_path());
     arena_.add(sessions_.back().flat_upload_path());
-    if (config_.link_cache) {
-      // Register this campaign's path links so run_hour's prefill turns
-      // the hot-loop evaluations into table lookups, and note their slots:
-      // the hourly prefill refills only the links this campaign crosses.
-      view_->link_cache().register_path(sessions_.back().download_path(),
-                                        &cache_slots_);
-      view_->link_cache().register_path(sessions_.back().upload_path(),
-                                        &cache_slots_);
-    }
+    // Register this campaign's path links so the hourly prefill turns the
+    // sweep's evaluations into table lookups, and note their slots: the
+    // prefill refills only the links this campaign crosses.
+    view_->link_cache().register_path(sessions_.back().download_path(),
+                                      &cache_slots_);
+    view_->link_cache().register_path(sessions_.back().upload_path(),
+                                      &cache_slots_);
 
     // Intern the session's series once; the hourly loop appends through
     // integer refs with no string formatting or map lookups.
@@ -176,6 +174,10 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
   cache_slots_.erase(std::unique(cache_slots_.begin(), cache_slots_.end()),
                      cache_slots_.end());
   cache_slots_.shrink_to_fit();
+  // Condition-cache slots are stable once assigned (registration only
+  // appends), so one resolution after this campaign's register_path calls
+  // serves the whole window.
+  arena_.resolve(view_->link_cache());
   tallies_.resize(sessions_.size());
   if (config_.workers != 1) {
     pool_ = std::make_unique<thread_pool>(config_.workers);
@@ -198,8 +200,8 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
   return vms_.size();
 }
 
-bool campaign_runner::run() {
-  if (!run_until(config_.window.end_at)) return false;
+bool campaign_runner::run(const hour_step& step) {
+  if (!run_until(config_.window.end_at, step)) return false;
   // Bill monthly storage exactly once per campaign: a resume after the
   // window completed (storage_billed_ restored from the checkpoint) must
   // not double-charge.
@@ -210,7 +212,7 @@ bool campaign_runner::run() {
   return true;
 }
 
-bool campaign_runner::run_until(hour_stamp stop) {
+bool campaign_runner::run_until(hour_stamp stop, const hour_step& step) {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
   // First durable hour: anchor the log with a checkpoint (possibly the
   // window-begin one) so WAL replay always has a base snapshot. resume()
@@ -226,7 +228,15 @@ bool campaign_runner::run_until(hour_stamp stop) {
           << cursor_.to_string();
       return false;
     }
-    run_hour(cursor_);  // advances cursor_
+    const hour_stamp at = cursor_;
+    if (step) {
+      step(at);
+    } else {
+      run_hour(at);
+    }
+    if (cursor_ == at) {
+      throw state_error("campaign_runner: hour step did not commit the hour");
+    }
     if (durable() &&
         (cursor_.hours_since_epoch() - begin) %
                 static_cast<std::int64_t>(config_.checkpoint_every_hours) ==
@@ -319,38 +329,52 @@ void campaign_runner::begin_hour(hour_stamp at) {
   }
 }
 
+campaign_runner::hour_clock::time_point campaign_runner::hour_started() {
+  return obs::enabled() ? hour_clock::now() : hour_clock::time_point{};
+}
+
+void campaign_runner::prepare_hour(hour_stamp at, thread_pool* pool) {
+  // Prefill this campaign's slots of the shared hour-epoch cache before
+  // any worker starts reading; slots another campaign already filled for
+  // this hour are skipped. Then the batched arena sweep computes every
+  // session path's metrics for the hour. Both are hour-top precomputation
+  // no staging worker overlaps with, so both count as the prefill phase;
+  // the pool's batch join publishes the writes (see condition_cache.hpp).
+  const obs::trace_span span(obs::phase::prefill, at.hours_since_epoch());
+  view_->link_cache().prefill(at, cache_slots_, pool);
+  evaluate_hour(at, pool);
+}
+
+void campaign_runner::commit_slot(std::size_t vm_slot,
+                                  vm_hour_staging&& staged) {
+  // Durable runs log each staged record before committing it. Workers
+  // never touch the log: the coordinator appends in slot order at the
+  // hour barrier, so the WAL's (hour asc, slot asc) order is a structural
+  // invariant replay can rely on.
+  if (wal_) wal_->append(encode_wal_record(vm_slot, staged));
+  commit_vm_hour(vm_slot, std::move(staged));
+}
+
+void campaign_runner::close_hour(hour_stamp at,
+                                 hour_clock::time_point started) {
+  if (wal_) wal_->flush();  // the hour's durability point
+  cursor_ = at + 1;
+  if (started != hour_clock::time_point{}) {
+    publish_hour_metrics(
+        std::chrono::duration<double>(hour_clock::now() - started).count());
+  }
+}
+
 void campaign_runner::run_hour(hour_stamp at) {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
-  const bool obs_on = obs::enabled();
-  const auto hour_begin =
-      obs_on ? std::chrono::steady_clock::now()
-             : std::chrono::steady_clock::time_point{};
+  const hour_clock::time_point started = hour_started();
   const std::int64_t h = at.hours_since_epoch();
   {
     const obs::trace_span span(obs::phase::begin_hour, h);
     begin_hour(at);
   }
-  // Prefill this campaign's slots of the shared hour-epoch cache before
-  // any worker starts reading; slots another campaign already filled for
-  // this hour are skipped. The pool's batch join publishes the writes
-  // (see condition_cache.hpp).
-  if (config_.link_cache) {
-    const obs::trace_span span(obs::phase::prefill, h);
-    view_->link_cache().prefill(at, cache_slots_, pool_.get());
-  }
-  // Batched arena sweep: every session path's metrics for this hour,
-  // computed once on the coordinator (attributed to the prefill phase —
-  // both are hour-top precomputation no worker overlaps with).
-  if (config_.batch_eval) {
-    const obs::trace_span span(obs::phase::prefill, h);
-    evaluate_hour(at, pool_.get());
-  }
+  prepare_hour(at, pool_.get());
   staging_.resize(vms_.size());
-  // Durable runs log each staged record before committing it; the flush
-  // below is the hour's durability point. Workers never touch the log —
-  // the coordinator appends in slot order at the hour barrier, so the
-  // WAL's (hour asc, slot asc) order is a structural invariant replay
-  // can rely on.
   if (pool_) {
     {
       const obs::trace_span span(obs::phase::stage, h);
@@ -360,8 +384,7 @@ void campaign_runner::run_hour(hour_stamp at) {
     }
     const obs::trace_span span(obs::phase::commit, h);
     for (std::size_t v = 0; v < vms_.size(); ++v) {
-      if (wal_) wal_->append(encode_wal_record(v, staging_[v]));
-      commit_vm_hour(v, std::move(staging_[v]));
+      commit_slot(v, std::move(staging_[v]));
     }
   } else {
     // Serial replay commits each VM right after staging it: identical
@@ -371,32 +394,16 @@ void campaign_runner::run_hour(hour_stamp at) {
     const obs::trace_span span(obs::phase::stage, h);
     for (std::size_t v = 0; v < vms_.size(); ++v) {
       stage_vm_hour_into(v, at, staging_[v]);
-      if (wal_) wal_->append(encode_wal_record(v, staging_[v]));
-      commit_vm_hour(v, std::move(staging_[v]));
+      commit_slot(v, std::move(staging_[v]));
     }
   }
-  if (wal_) wal_->flush();
-  cursor_ = at + 1;
-  if (obs_on) {
-    publish_hour_metrics(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - hour_begin)
-                             .count());
-  }
+  close_hour(at, started);
 }
 
 void campaign_runner::evaluate_hour(hour_stamp at, thread_pool* pool) {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
-  if (!config_.batch_eval || sessions_.empty()) return;
-  if (!arena_resolved_) {
-    // Condition-cache slots are stable once assigned (registration only
-    // appends), so one resolution after deploy's register_path calls
-    // serves the whole window.
-    arena_.resolve(view_->link_cache());
-    arena_resolved_ = true;
-  }
   const std::size_t paths = arena_.size();
   hour_metrics_.resize(paths);
-  if (pool == nullptr) pool = pool_.get();
   // Fixed-size blocks: large enough to amortize pool dispatch, small
   // enough to load-balance. Each block writes a disjoint output range and
   // path metrics are independent, so block boundaries and scheduling
@@ -413,8 +420,7 @@ void campaign_runner::evaluate_hour(hour_stamp at, thread_pool* pool) {
   } else {
     view_->evaluate_batch(arena_, at, 0, paths, hour_metrics_.data());
   }
-  hour_metrics_hour_ = at.hours_since_epoch();
-  hour_metrics_valid_ = true;
+  swept_hour_ = at;
   batch_groups_ = blocks;
   if (obs::enabled()) {
     metrics_.batch_groups->set(static_cast<double>(blocks));
@@ -428,31 +434,12 @@ void campaign_runner::stage_shard_hour(hour_stamp at, std::size_t slot_begin,
   if (slot_begin >= slot_end || slot_end > vms_.size()) {
     throw invalid_argument_error("campaign_runner: bad shard slot range");
   }
-  const std::int64_t h = at.hours_since_epoch();
   // Everything below runs on the calling thread. A dist worker is
   // typically a fork() of a process whose pool threads did not survive,
-  // so this path must never dispatch to pool_ (prefill and the batch
-  // sweep take an explicit null pool; block count 1 keeps the sweep one
-  // serial pass, which cannot change any value — see evaluate_hour).
-  if (config_.link_cache) {
-    const obs::trace_span span(obs::phase::prefill, h);
-    view_->link_cache().prefill(at, cache_slots_, nullptr);
-  }
-  if (config_.batch_eval && !sessions_.empty()) {
-    const obs::trace_span span(obs::phase::prefill, h);
-    if (!arena_resolved_) {
-      arena_.resolve(view_->link_cache());
-      arena_resolved_ = true;
-    }
-    hour_metrics_.resize(arena_.size());
-    view_->evaluate_batch(arena_, at, 0, arena_.size(),
-                          hour_metrics_.data());
-    hour_metrics_hour_ = h;
-    hour_metrics_valid_ = true;
-    batch_groups_ = 1;
-  }
+  // so this path must never dispatch to pool_.
+  prepare_hour(at, nullptr);
   out.resize(slot_end - slot_begin);
-  const obs::trace_span span(obs::phase::stage, h);
+  const obs::trace_span span(obs::phase::stage, at.hours_since_epoch());
   for (std::size_t v = slot_begin; v < slot_end; ++v) {
     stage_vm_hour_into(v, at, out[v - slot_begin]);
   }
@@ -474,30 +461,21 @@ void campaign_runner::commit_hour_group(hour_stamp at,
           "campaign_runner: hour group record staged for a different hour");
     }
   }
-  const bool obs_on = obs::enabled();
-  const auto hour_begin =
-      obs_on ? std::chrono::steady_clock::now()
-             : std::chrono::steady_clock::time_point{};
+  const hour_clock::time_point started = hour_started();
   const std::int64_t h = at.hours_since_epoch();
   {
     const obs::trace_span span(obs::phase::begin_hour, h);
     begin_hour(at);
   }
-  // Same commit phase as run_hour: WAL in slot order at the barrier, then
-  // slot-order merges — the durable bytes and the store bytes cannot
-  // depend on which process staged the records.
-  const obs::trace_span span(obs::phase::commit, h);
-  for (std::size_t v = 0; v < vms_.size(); ++v) {
-    if (wal_) wal_->append(encode_wal_record(v, group[v]));
-    commit_vm_hour(v, std::move(group[v]));
+  // Same commit phase as run_hour, so the durable bytes and the store
+  // bytes cannot depend on which process staged the records.
+  {
+    const obs::trace_span span(obs::phase::commit, h);
+    for (std::size_t v = 0; v < vms_.size(); ++v) {
+      commit_slot(v, std::move(group[v]));
+    }
   }
-  if (wal_) wal_->flush();
-  cursor_ = at + 1;
-  if (obs_on) {
-    publish_hour_metrics(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - hour_begin)
-                             .count());
-  }
+  close_hour(at, started);
 }
 
 void campaign_runner::publish_hour_metrics(double hour_seconds) {
@@ -590,18 +568,15 @@ void campaign_runner::emit_heartbeat() const {
   log_message(log_level::info, "heartbeat", line);
 }
 
-campaign_runner::vm_hour_staging campaign_runner::stage_vm_hour(
-    std::size_t vm_slot, hour_stamp at) const {
-  vm_hour_staging out;
-  stage_vm_hour_into(vm_slot, at, out);
-  return out;
-}
-
 void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
                                          vm_hour_staging& out) const {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
   if (vm_slot >= vms_.size()) {
     throw invalid_argument_error("campaign_runner: bad vm slot");
+  }
+  if (swept_hour_ != at) {
+    throw state_error(
+        "campaign_runner: staging an hour evaluate_hour did not sweep");
   }
   out.at = at;
   out.points.clear();
@@ -645,11 +620,6 @@ void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
   order.assign(vm_session_index_.begin() + s_begin,
                vm_session_index_.begin() + s_end);
   r.shuffle(order);
-  // Consume the hour's batched path metrics when evaluate_hour() computed
-  // them for exactly this hour; otherwise (batch disabled, or a direct
-  // stage_vm_hour caller) evaluate per session — bit-identical either way.
-  const bool batched = config_.batch_eval && hour_metrics_valid_ &&
-                       hour_metrics_hour_ == at.hours_since_epoch();
   const machine_type& machine = cloud_->vm(vms_[vm_slot]).type;
   double artifact_mb = 0.2;  // someta metadata baseline
   // Each attempt — including a retry of an aborted transfer — consumes
@@ -665,7 +635,7 @@ void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
     // with this iteration's noise-model math (advisory, value-neutral).
     if (oi + 2 < order.size()) {
       const std::uint32_t ahead = order[oi + 2];
-      if (batched) __builtin_prefetch(&hour_metrics_[2 * ahead]);
+      __builtin_prefetch(&hour_metrics_[2 * ahead]);
       __builtin_prefetch(&sessions_[ahead]);
       __builtin_prefetch(&series_refs_[ahead]);
     }
@@ -690,10 +660,8 @@ void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
       // Path conditions are a pure function of (session, hour), so a
       // retry re-measures the same conditions with fresh client noise —
       // the batched metrics serve every attempt of the hour.
-      const speed_test_report report =
-          batched ? session.run_with_metrics(hour_metrics_[2 * si],
-                                             hour_metrics_[2 * si + 1], at, r)
-                  : session.run(at, r);
+      const speed_test_report report = session.run_with_metrics(
+          hour_metrics_[2 * si], hour_metrics_[2 * si + 1], at, r);
       if (aborted) {
         // Truncated transfer: the test produced no metrics, but the bytes
         // sent before the abort are still billed egress and a partial

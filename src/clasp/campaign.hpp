@@ -30,6 +30,8 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,24 +66,6 @@ struct campaign_config {
   // thread, 0 means hardware_concurrency. Any value produces identical
   // results.
   unsigned workers{1};
-  // Hour-epoch link-condition caching: deploy() registers the sessions'
-  // path links with the view's condition_cache (shared by every campaign
-  // on the view) and keeps their distinct slots; run_hour and
-  // stage_shard_hour prefill only those slots before staging. Off means
-  // every evaluation recomputes the load model directly; results are
-  // bit-identical either way (the cache stores exactly what the model
-  // computes), so this knob trades memory for speed and nothing else.
-  bool link_cache{true};
-  // Batched link-hour evaluation: evaluate_hour() sweeps every session's
-  // two paths through one structure-of-arrays arena pass at the top of
-  // the hour, and staging consumes the precomputed per-path metrics
-  // instead of evaluating per session (and per retry attempt). Off falls
-  // back to the per-session evaluate() path; results are bit-identical
-  // either way (path conditions are a pure function of the hour, and the
-  // batch sweep performs the same floating-point operations in the same
-  // order), so this knob — like link_cache — trades memory for speed and
-  // nothing else.
-  bool batch_eval{true};
   // Deterministic fault injection (server churn, transient test
   // failures, VM preemption, upload failures). Disabled by default;
   // disabled output is byte-identical to a faults-free build, and
@@ -157,6 +141,11 @@ class campaign_runner {
   std::size_t deploy(const campaign_config& config,
                      const std::vector<std::size_t>& server_ids);
 
+  // Drives one hour at cursor() to completion (the cursor must advance).
+  // run()/run_until() default to run_hour; the shard coordinator passes
+  // its collect-and-commit barrier instead.
+  using hour_step = std::function<void(hour_stamp)>;
+
   // Run every remaining hour in the window (from cursor(), which resume()
   // may have advanced), then bill the accumulated bucket volume (once —
   // a resumed-after-complete run never double-bills). With a
@@ -164,11 +153,14 @@ class campaign_runner {
   // and a final one after billing. Returns false when request_interrupt()
   // stopped the run early (after checkpointing, if durable); true when
   // the window completed.
-  bool run();
+  bool run(const hour_step& step = {});
 
-  // Run hours [cursor(), stop) with WAL logging and periodic checkpoints
-  // when durable. Returns false when interrupted before reaching `stop`.
-  bool run_until(hour_stamp stop);
+  // Run hours [cursor(), stop) through `step` (run_hour when empty) with
+  // the durability cadence: a first-hour anchor checkpoint when no WAL is
+  // open, the interrupt check before every hour and a checkpoint every
+  // checkpoint_every_hours. Returns false when interrupted before
+  // reaching `stop`.
+  bool run_until(hour_stamp stop, const hour_step& step = {});
 
   // Run one hour of the campaign: stage all VMs (in parallel when the
   // campaign was configured with workers != 1), then merge in slot order.
@@ -185,23 +177,20 @@ class campaign_runner {
   // after the cache prefill and before any staging worker starts): one
   // linear sweep over the session-path arena computes every session's
   // download/upload path_metrics for `at`, fanned out in fixed-size
-  // blocks across `pool` (or the campaign's own pool when null; serial
-  // when neither exists — block boundaries cannot change values, the
-  // outputs are per-path). stage_vm_hour_into then reads the precomputed
-  // metrics instead of evaluating per session. No-op when
-  // config().batch_eval is false or with no sessions; staging falls back
-  // to per-session evaluation whenever the staged hour was not the last
-  // evaluated one, so direct stage_vm_hour() callers stay correct.
-  // Any prefill that covers cache_slots() — the campaign-scoped one
-  // run_hour performs, or a full view().link_cache().prefill(at) — then
+  // blocks across `pool` (serial when null — block boundaries cannot
+  // change values, the outputs are per-path). stage_vm_hour_into reads
+  // the precomputed metrics and throws state_error for any other hour.
+  // Any prefill of the hour — the campaign-scoped one run_hour performs,
+  // a full view().link_cache().prefill(at), or none at all — then
   // evaluate_hour, then staging and slot-order commits, is byte-identical
-  // to run_hour; hops whose slots were not prefilled for `at` only take
-  // the direct computation.
+  // to run_hour: the cache stores exactly what the load model computes,
+  // and hops whose slots were not prefilled for `at` take the direct
+  // computation.
   void evaluate_hour(hour_stamp at, thread_pool* pool = nullptr);
 
   // The distinct condition-cache slots this campaign's session paths
-  // cross, ascending (empty when config().link_cache is off). Collected
-  // once at deploy(); the slots the hour-top prefill refills.
+  // cross, ascending. Collected once at deploy(); the slots the hour-top
+  // prefill refills.
   const std::vector<std::uint32_t>& cache_slots() const {
     return cache_slots_;
   }
@@ -243,13 +232,12 @@ class campaign_runner {
     std::size_t tests_missed{0};
     bool upload_failed{false};                 // artifact put injected away
   };
-  // Stage one VM's hour. Const and thread-safe: touches only immutable
-  // deployment state and a stream RNG derived from (label, region,
-  // vm_slot, hour).
-  vm_hour_staging stage_vm_hour(std::size_t vm_slot, hour_stamp at) const;
-  // Allocation-free variant: stages into `out`, clearing it first but
-  // keeping its buffers, so an hour-stepping driver can reuse one staging
-  // slot per task across the whole window.
+  // Stage one VM's hour into `out`, clearing it first but keeping its
+  // buffers, so an hour-stepping driver can reuse one staging slot per
+  // task across the whole window. Const and thread-safe: touches only
+  // immutable deployment state, the hour's evaluate_hour sweep and a
+  // stream RNG derived from (label, region, vm_slot, hour). Throws
+  // state_error unless evaluate_hour(at) was the last sweep.
   void stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
                           vm_hour_staging& out) const;
   // Merge one staged VM-hour: TSDB appends, someta samples, billing.
@@ -258,24 +246,27 @@ class campaign_runner {
 
   // --- distributed replay support (src/dist/) ---
   // Stage one hour of the VM slots [slot_begin, slot_end) into `out`
-  // (resized to the slot count), entirely on the calling thread: serial
-  // prefill of the campaign's cache slots, serial batched evaluation,
-  // serial staging. Never touches the worker pool, so it is safe in a
-  // fork()ed worker process whose pool threads did not survive the fork.
-  // Byte-identical to the same slots staged by run_hour.
+  // (resized to the slot count), entirely on the calling thread: the
+  // hour's prepare step with no pool, then serial staging. Never touches
+  // the worker pool, so it is safe in a fork()ed worker process whose
+  // pool threads did not survive the fork. Byte-identical to the same
+  // slots staged by run_hour.
   void stage_shard_hour(hour_stamp at, std::size_t slot_begin,
                         std::size_t slot_end,
                         std::vector<vm_hour_staging>& out);
-  // Commit one complete hour group staged elsewhere (shard workers):
-  // coordinator hour events, then WAL-log + commit every slot in
-  // ascending order, then advance the cursor — exactly the bytes
-  // run_hour's commit phase produces. `group` must hold vm_count()
-  // records, slot v at index v, all staged for `at` == cursor().
+  // Commit one complete hour group staged elsewhere (shard workers, or
+  // records resume() read back from the WAL): coordinator hour events,
+  // then WAL-log + commit every slot in ascending order, then close the
+  // hour — exactly the bytes run_hour's commit phase produces. `group`
+  // must hold vm_count() records, slot v at index v, all staged for
+  // `at` == cursor(). Moves out of the records, not the vector.
   void commit_hour_group(hour_stamp at, std::vector<vm_hour_staging>&& group);
   // WAL/shard record codec, also the dist wire format for one staged
   // (VM, hour): the coordinator decodes exactly what a worker encoded.
-  // decode throws invalid_argument_error on a malformed payload and
-  // returns the record's vm_slot.
+  // decode throws invalid_argument_error on a malformed payload (bad
+  // framing, a count larger than the bytes left, or a slot, session,
+  // outcome or VM id that does not belong to this campaign) and returns
+  // the record's vm_slot.
   std::string encode_wal_record(std::size_t vm_slot,
                                 const vm_hour_staging& staged) const;
   std::size_t decode_wal_record(std::string_view payload,
@@ -286,17 +277,11 @@ class campaign_runner {
   // world; also what checkpoint resume verifies.
   std::uint64_t fingerprint() const;
 
-  // State peeks for the shard coordinator, which mirrors run_until's
+  // State peeks for hour-stepped drivers that reproduce run_until's
   // durability cadence (first-hour WAL anchor, final storage bill)
   // without reaching into private members.
   bool wal_open() const { return wal_ != nullptr; }
   bool storage_billed() const { return storage_billed_; }
-  bool interrupt_requested() const {
-    return interrupt_.load(std::memory_order_relaxed);
-  }
-  void clear_interrupt() {
-    interrupt_.store(false, std::memory_order_relaxed);
-  }
   // Storage billed monthly on the accumulated bucket volume (run() calls
   // this after the window; hour-stepped drivers call it themselves).
   void charge_monthly_storage();
@@ -338,8 +323,9 @@ class campaign_runner {
   // snapshot) and older checkpoints are garbage-collected.
   void checkpoint(const std::string& dir);
   // Restore from the latest checkpoint under `dir`, then replay every
-  // complete (all-VM) hour group in the WAL, dropping a torn tail or a
-  // partial hour (those hours re-run deterministically). Requires a
+  // complete (all-VM) hour group in the WAL through commit_hour_group
+  // (with the WAL closed), dropping a torn tail or a partial hour (those
+  // hours re-run deterministically). Requires a
   // deployed runner whose fingerprint (seed, window, fleet shape, fault
   // config) matches the checkpoint; throws state_error on a mismatch and
   // invalid_argument_error on corruption. Returns false when `dir` holds
@@ -424,6 +410,21 @@ class campaign_runner {
     obs::histogram* hour_seconds{nullptr};
   };
   void resolve_metrics();
+
+  // The three steps every hour driver shares (run_hour, stage_shard_hour,
+  // commit_hour_group and resume's WAL replay):
+  //  * prepare: refill this campaign's condition-cache slots for `at`,
+  //    then evaluate_hour, both on exactly `pool` (serial when null);
+  //  * commit: WAL-append slot v's record when durable, then merge it
+  //    (slots in ascending order);
+  //  * close: flush the WAL (the hour's durability point), advance the
+  //    cursor past `at` and, when `started` was taken with obs on,
+  //    publish the hour's metrics.
+  using hour_clock = std::chrono::steady_clock;
+  static hour_clock::time_point hour_started();
+  void prepare_hour(hour_stamp at, thread_pool* pool);
+  void commit_slot(std::size_t vm_slot, vm_hour_staging&& staged);
+  void close_hour(hour_stamp at, hour_clock::time_point started);
   // Hour-close bookkeeping: counters/gauges, the hour-duration histogram
   // and (on the configured cadence) the heartbeat line. Only called when
   // obs is enabled.
@@ -450,18 +451,16 @@ class campaign_runner {
   std::vector<std::uint32_t> vm_session_offsets_;  // size vms_.size() + 1
   std::vector<std::uint32_t> vm_session_index_;    // size sessions_.size()
   // SoA twin of the sessions' flattened paths: path 2*i is sessions_[i]'s
-  // download path, 2*i + 1 its upload path. Built at deploy, resolved
-  // against the view's condition cache on first use (see evaluate_hour).
+  // download path, 2*i + 1 its upload path. Built and resolved against
+  // the view's condition cache at deploy.
   path_arena arena_;
-  bool arena_resolved_{false};
   // Sorted distinct condition-cache slots of the session paths (see
   // cache_slots()).
   std::vector<std::uint32_t> cache_slots_;
   // Per-path metrics of the last evaluate_hour() sweep, indexed like the
-  // arena. Valid only for hour_metrics_hour_ (staging checks before use).
+  // arena, and the hour they are for (staging checks before use).
   std::vector<path_metrics> hour_metrics_;
-  std::int64_t hour_metrics_hour_{0};
-  bool hour_metrics_valid_{false};
+  std::optional<hour_stamp> swept_hour_;
   std::size_t batch_groups_{0};  // blocks of the last sweep (heartbeat)
   // series_refs_[i] = interned store handles for sessions_[i].
   std::vector<session_series> series_refs_;

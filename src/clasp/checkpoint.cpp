@@ -312,41 +312,57 @@ std::size_t campaign_runner::decode_wal_record(std::string_view payload,
   if (in.u8() != kVmHourTag) {
     throw invalid_argument_error("checkpoint: not a VM-hour WAL record");
   }
-  const std::size_t vm_slot = static_cast<std::size_t>(in.varint());
+  // Records arrive from files and sockets, and commit_vm_hour indexes by
+  // what they carry: every count is bounded by the bytes left (minimum
+  // encoded item sizes below) and every index by this campaign's shape.
+  const auto bad = [](const char* what) {
+    throw invalid_argument_error(std::string("checkpoint: WAL record ") +
+                                 what);
+  };
+  const std::uint64_t vm_slot = in.varint();
+  if (vm_slot >= vms_.size()) bad("names a VM slot outside the fleet");
   out.at = hour_stamp{in.svarint()};
   out.points.clear();
   out.someta.clear();
   out.outcomes.clear();
   out.charges.reset();
-  const std::uint64_t n_points = in.varint();
-  out.points.reserve(static_cast<std::size_t>(n_points));
-  for (std::uint64_t i = 0; i < n_points; ++i) {
+  const std::size_t n_points = in.count(9);  // varint ref + f64
+  out.points.reserve(n_points);
+  for (std::size_t i = 0; i < n_points; ++i) {
     const series_ref ref = static_cast<series_ref>(in.varint());
     out.points.push_back({ref, in.f64()});
   }
-  const std::uint64_t n_someta = in.varint();
-  out.someta.reserve(static_cast<std::size_t>(n_someta));
-  for (std::uint64_t i = 0; i < n_someta; ++i) {
+  const std::size_t n_someta = in.count(26);  // svarint + 3 f64 + bool
+  out.someta.reserve(n_someta);
+  for (std::size_t i = 0; i < n_someta; ++i) {
     out.someta.push_back(get_sample(in));
   }
-  const std::uint64_t n_outcomes = in.varint();
-  out.outcomes.reserve(static_cast<std::size_t>(n_outcomes));
-  for (std::uint64_t i = 0; i < n_outcomes; ++i) {
+  const std::size_t n_outcomes = in.count(3);  // varint + two bytes
+  out.outcomes.reserve(n_outcomes);
+  for (std::size_t i = 0; i < n_outcomes; ++i) {
+    const std::uint64_t session = in.varint();
+    const std::uint8_t outcome = in.u8();
+    if (session >= sessions_.size()) bad("names a session outside the fleet");
+    if (outcome > static_cast<std::uint8_t>(test_outcome::skipped_budget)) {
+      bad("carries an unknown test outcome");
+    }
     staged_outcome o;
-    o.session = static_cast<std::uint32_t>(in.varint());
-    o.outcome = static_cast<test_outcome>(in.u8());
+    o.session = static_cast<std::uint32_t>(session);
+    o.outcome = static_cast<test_outcome>(outcome);
     o.attempts = in.u8();
     out.outcomes.push_back(o);
   }
-  const std::uint64_t n_vm_hours = in.varint();
-  out.charges.vm_hours.reserve(static_cast<std::size_t>(n_vm_hours));
-  for (std::uint64_t i = 0; i < n_vm_hours; ++i) {
-    out.charges.vm_hours.push_back(static_cast<std::size_t>(in.varint()));
+  const std::size_t n_vm_hours = in.count(1);
+  out.charges.vm_hours.reserve(n_vm_hours);
+  for (std::size_t i = 0; i < n_vm_hours; ++i) {
+    const std::uint64_t vm = in.varint();
+    if (vm != vms_[vm_slot]) bad("bills a VM-hour of another slot's VM");
+    out.charges.vm_hours.push_back(static_cast<std::size_t>(vm));
   }
   out.charges.egress_premium = megabytes{in.f64()};
   out.charges.egress_standard = megabytes{in.f64()};
-  const std::uint64_t n_puts = in.varint();
-  for (std::uint64_t i = 0; i < n_puts; ++i) {
+  const std::size_t n_puts = in.count(10);  // two strings + f64
+  for (std::size_t i = 0; i < n_puts; ++i) {
     std::string region = in.str();
     std::string name = in.str();
     out.charges.add_put(std::move(region), std::move(name), in.f64());
@@ -357,7 +373,7 @@ std::size_t campaign_runner::decode_wal_record(std::string_view payload,
   if (!in.done()) {
     throw invalid_argument_error("checkpoint: trailing bytes in WAL record");
   }
-  return vm_slot;
+  return static_cast<std::size_t>(vm_slot);
 }
 
 void campaign_runner::checkpoint(const std::string& dir) {
@@ -498,6 +514,10 @@ bool campaign_runner::resume(const std::string& dir) {
   // records 0..vm_count-1, all at the cursor hour. Stale records (hour
   // before the cursor: crash between publish and WAL reset) are skipped;
   // a partial group or torn tail is dropped and that hour re-runs.
+  // Complete groups commit through commit_hour_group, which must not log
+  // them again: close any open WAL first (the re-anchoring checkpoint
+  // below opens a fresh one).
+  wal_.reset();
   const wal_scan_result scan =
       scan_wal((fs::path(dir) / "wal.log").string());
   if (scan.corrupt) {
@@ -533,12 +553,8 @@ bool campaign_runner::resume(const std::string& dir) {
       }
     }
     if (!complete) break;
-    begin_hour(cursor_);
-    for (std::size_t v = 0; v < vms_.size(); ++v) {
-      commit_vm_hour(v, std::move(group[v]));
-    }
+    commit_hour_group(cursor_, std::move(group));
     i += vms_.size();
-    cursor_ = cursor_ + 1;
     ++replayed;
   }
   CLASP_LOG(info, "campaign")

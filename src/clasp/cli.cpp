@@ -13,11 +13,10 @@ constexpr const char* kKnownFlags[] = {
     "--region",          "--days",
     "--tier",            "--csv",
     "--config",          "--seed",
-    "--workers",         "--link-cache",
-    "--faults",          "--checkpoint-dir",
-    "--checkpoint-every", "--resume",
-    "--metrics-out",     "--heartbeat-every",
-    "--fleet-scale",     "--batch-eval",
+    "--workers",         "--faults",
+    "--checkpoint-dir",  "--checkpoint-every",
+    "--resume",          "--metrics-out",
+    "--heartbeat-every", "--fleet-scale",
     "--swarm",           "--shards",
     "--socket",          "--tenant",
     "--id",              "--durable",
@@ -109,14 +108,6 @@ cli_parse_result parse_cli_args(int argc, const char* const* argv,
       if (!parse_int(value, opts.workers) || opts.workers < 0) {
         return {false, "--workers must be an integer >= 0"};
       }
-    } else if (key == "--link-cache") {
-      if (value == "on" || value == "1" || value == "true") {
-        opts.link_cache = 1;
-      } else if (value == "off" || value == "0" || value == "false") {
-        opts.link_cache = 0;
-      } else {
-        return {false, "--link-cache must be on or off"};
-      }
     } else if (key == "--faults") {
       if (value != "off" && value != "low" && value != "high") {
         return {false, "--faults must be off, low or high"};
@@ -139,14 +130,6 @@ cli_parse_result parse_cli_args(int argc, const char* const* argv,
         return {false,
                 "--fleet-scale must be an integer >= 1 (synthetic fleet "
                 "multiplier; use --fleet-scale 1 for the paper-scale fleet)"};
-      }
-    } else if (key == "--batch-eval") {
-      if (value == "on" || value == "1" || value == "true") {
-        opts.batch_eval = 1;
-      } else if (value == "off" || value == "0" || value == "false") {
-        opts.batch_eval = 0;
-      } else {
-        return {false, "--batch-eval must be on or off"};
       }
     } else if (key == "--shards") {
       if (!parse_int(value, opts.shards) || opts.shards < 1) {

@@ -18,8 +18,6 @@ struct cli_options {
   std::string config_path;
   int days{7};
   int workers{-1};     // -1 = config default; 0 = hardware concurrency
-  int link_cache{-1};  // -1 = config default; 0 = off; 1 = on
-  int batch_eval{-1};  // -1 = config default; 0 = off; 1 = on
   // Synthetic fleet multiplier; -1 = config default. Rejects values < 1.
   int fleet_scale{-1};
   std::string faults;  // empty = config default; else off|low|high

@@ -60,8 +60,6 @@ constexpr const char* kKnownKeys[] = {
     "swarm.max_substitutes",
     "swarm.retry_backoff_hours",
     "campaign.workers",
-    "campaign.link_cache",
-    "campaign.batch_eval",
     "campaign.fleet_scale",
     "campaign.checkpoint_dir",
     "campaign.checkpoint_every_hours",
@@ -170,10 +168,6 @@ platform_config load_platform_config(const std::string& ini_text) {
     } else if (key == "campaign.workers") {
       cfg.campaign_workers =
           static_cast<unsigned>(as_count(doc, key));  // 0 = hw concurrency
-    } else if (key == "campaign.link_cache") {
-      cfg.campaign_link_cache = doc.get_bool(key);
-    } else if (key == "campaign.batch_eval") {
-      cfg.campaign_batch_eval = doc.get_bool(key);
     } else if (key == "campaign.fleet_scale") {
       const std::size_t scale = as_count(doc, key);
       if (scale == 0) {

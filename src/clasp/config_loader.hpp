@@ -16,8 +16,6 @@
 //
 //   [campaign]
 //   workers = 4          ; replay concurrency (0 = hardware concurrency)
-//   link_cache = true    ; hour-epoch link-condition cache (speed only;
-//                        ; results are bit-identical on or off)
 //   checkpoint_dir = /var/lib/clasp/ckpt   ; durability root ("" = off)
 //   checkpoint_every_hours = 24            ; cadence, must be >= 1
 //

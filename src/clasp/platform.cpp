@@ -111,8 +111,6 @@ campaign_runner& clasp_platform::start_topology_campaign(
   cfg.label = "topology";
   cfg.window = window;
   cfg.workers = config_.campaign_workers;
-  cfg.link_cache = config_.campaign_link_cache;
-  cfg.batch_eval = config_.campaign_batch_eval;
   cfg.faults = config_.campaign_faults;
   cfg.heartbeat_every_hours = config_.obs_heartbeat_every_hours;
   if (!config_.campaign_checkpoint_dir.empty()) {
@@ -169,8 +167,6 @@ clasp_platform::start_differential_campaign(const std::string& region,
     cfg.label = labels[i];
     cfg.window = window;
     cfg.workers = config_.campaign_workers;
-    cfg.link_cache = config_.campaign_link_cache;
-    cfg.batch_eval = config_.campaign_batch_eval;
     cfg.faults = config_.campaign_faults;
     cfg.heartbeat_every_hours = config_.obs_heartbeat_every_hours;
     if (!config_.campaign_checkpoint_dir.empty()) {

@@ -75,14 +75,6 @@ struct platform_config {
   // 1 = serial, 0 = hardware_concurrency. Any value yields bit-identical
   // campaign results (see DESIGN.md, "Concurrency model & determinism").
   unsigned campaign_workers{1};
-  // Hour-epoch link-condition caching for every campaign this platform
-  // deploys (campaign_config::link_cache). Off only costs speed: results
-  // are bit-identical either way.
-  bool campaign_link_cache{true};
-  // Batched link-hour evaluation for every campaign this platform deploys
-  // (campaign_config::batch_eval). Off only costs speed: results are
-  // bit-identical either way.
-  bool campaign_batch_eval{true};
   // Synthetic fleet multiplier (internet_config::fleet_scale, mirrored
   // here so the config loader and CLI have one campaign-facing knob):
   // every campaign measures fleet_scale x the selected servers, the extra

@@ -345,67 +345,50 @@ void shard_coordinator::stop_all() {
 }
 
 bool shard_coordinator::run_until(hour_stamp stop) {
-  const campaign_config& cfg = campaign_.config();
-  // Mirror run_until's durability anchor: the WAL needs a base
-  // checkpoint before the first distributed hour commits into it.
-  if (campaign_.durable() && !campaign_.wal_open()) {
-    campaign_.checkpoint(cfg.checkpoint_dir);
-  }
-  if (!(campaign_.cursor() < stop)) return true;
-  const std::int64_t begin = cfg.window.begin_at.hours_since_epoch();
-  for (std::uint32_t s = 0; s < config_.shards; ++s) {
-    spawn_shard(s, campaign_.cursor(), stop);
-  }
-  metrics().workers->set(static_cast<double>(config_.shards));
-  bool completed = true;
-  try {
-    while (campaign_.cursor() < stop) {
-      if (campaign_.interrupt_requested()) {
-        campaign_.clear_interrupt();
-        if (campaign_.durable()) campaign_.checkpoint(cfg.checkpoint_dir);
-        CLASP_LOG(info, "dist")
-            << cfg.label << "/" << cfg.region << ": interrupted at "
-            << campaign_.cursor().to_string();
-        completed = false;
-        break;
+  return drive(stop, /*whole_window=*/false);
+}
+
+bool shard_coordinator::run() {
+  return drive(campaign_.config().window.end_at, /*whole_window=*/true);
+}
+
+bool shard_coordinator::drive(hour_stamp stop, bool whole_window) {
+  // The campaign's own loop keeps the durability cadence (WAL anchor,
+  // interrupt check, periodic checkpoints and, for the whole window, the
+  // storage bill and final checkpoint); each of its hours is one
+  // barrier here. Workers are forked at the first barrier, so a call
+  // with nothing left to run spawns none.
+  bool spawned = false;
+  const campaign_runner::hour_step barrier = [&](hour_stamp at) {
+    if (!spawned) {
+      for (std::uint32_t s = 0; s < config_.shards; ++s) {
+        spawn_shard(s, at, stop);
       }
-      const hour_stamp at = campaign_.cursor();
-      if (config_.on_barrier_for_testing) {
-        config_.on_barrier_for_testing(*this, at);
-      }
-      metrics().barrier_hour->set(
-          static_cast<double>(at.hours_since_epoch()));
-      const auto barrier_begin = std::chrono::steady_clock::now();
-      collect_hour(at, stop);
-      metrics().barrier_seconds->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        barrier_begin)
-              .count());
-      report_.hours += 1;
-      if (campaign_.durable() &&
-          (campaign_.cursor().hours_since_epoch() - begin) %
-                  static_cast<std::int64_t>(cfg.checkpoint_every_hours) ==
-              0) {
-        campaign_.checkpoint(cfg.checkpoint_dir);
-      }
+      metrics().workers->set(static_cast<double>(config_.shards));
+      spawned = true;
     }
+    if (config_.on_barrier_for_testing) {
+      config_.on_barrier_for_testing(*this, at);
+    }
+    metrics().barrier_hour->set(static_cast<double>(at.hours_since_epoch()));
+    const auto barrier_begin = std::chrono::steady_clock::now();
+    collect_hour(at, stop);
+    metrics().barrier_seconds->observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      barrier_begin)
+            .count());
+    report_.hours += 1;
+  };
+  bool completed = false;
+  try {
+    completed = whole_window ? campaign_.run(barrier)
+                             : campaign_.run_until(stop, barrier);
   } catch (...) {
     stop_all();
     throw;
   }
   stop_all();
   return completed;
-}
-
-bool shard_coordinator::run() {
-  if (!run_until(campaign_.config().window.end_at)) return false;
-  // Same epilogue as campaign_runner::run: the storage bill and the
-  // final checkpoint are coordinator-side work, never sharded.
-  if (!campaign_.storage_billed()) campaign_.charge_monthly_storage();
-  if (campaign_.durable()) {
-    campaign_.checkpoint(campaign_.config().checkpoint_dir);
-  }
-  return true;
 }
 
 }  // namespace clasp::dist

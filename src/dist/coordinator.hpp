@@ -21,10 +21,11 @@
 //     replacement re-stages that hour bit-exact, so nothing committed is
 //     ever redone and nothing pending is ever lost.
 //
-// The coordinator mirrors run_until's durability cadence (first-hour
-// WAL anchor, checkpoint_every_hours, final storage bill + checkpoint),
-// so `clasp_cli --shards N` runs are resumable exactly like
-// single-process ones. Everything is observable as clasp_dist_* metric
+// The coordinator drives its barriers through the campaign's own
+// run/run_until loop, so the durability cadence (first-hour WAL anchor,
+// checkpoint_every_hours, final storage bill + checkpoint) is the same
+// code as a single-process run and `clasp_cli --shards N` runs are
+// resumable exactly like single-process ones. Everything is observable as clasp_dist_* metric
 // families plus a dist segment in the campaign heartbeat line.
 #pragma once
 
@@ -126,6 +127,8 @@ class shard_coordinator {
   void arm_deadline(worker_slot& w);
   void reject_group(std::uint32_t shard, hour_stamp at, hour_stamp stop);
   void stop_all();
+  // run()/run_until(): the campaign's loop with collect_hour as its step.
+  bool drive(hour_stamp stop, bool whole_window);
 
   campaign_runner& campaign_;
   dist_config config_;

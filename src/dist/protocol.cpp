@@ -57,9 +57,10 @@ dist_message decode_message(std::string_view payload) {
     m.slot_begin = static_cast<std::uint32_t>(in.varint());
     m.slot_end = static_cast<std::uint32_t>(in.varint());
   } else if (m.type == msg_type::hour_group) {
-    const std::uint64_t count = in.varint();
-    m.records.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
+    // Each record is a u32 CRC plus a length-prefixed string.
+    const std::size_t count = in.count(5);
+    m.records.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
       const std::uint32_t expect_crc = in.u32();
       std::string record = in.str();
       if (crc32(record) != expect_crc) {

@@ -245,9 +245,10 @@ void tsdb::restore_from(std::istream& is) {
   std::vector<ts_series> series;
   std::unordered_map<std::string, std::size_t> index;
   std::unordered_map<std::string, std::vector<std::size_t>> by_metric;
-  const std::uint64_t n_series = in.varint();
-  series.reserve(static_cast<std::size_t>(n_series));
-  for (std::uint64_t i = 0; i < n_series; ++i) {
+  // Each series is at least a metric string, a tag count and a point count.
+  const std::size_t n_series = in.count(3);
+  series.reserve(n_series);
+  for (std::size_t i = 0; i < n_series; ++i) {
     std::string metric = in.str();
     tag_set tags;
     const std::uint64_t n_tags = in.varint();

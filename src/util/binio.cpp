@@ -1,5 +1,6 @@
 #include "util/binio.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -166,6 +167,17 @@ std::int64_t binary_reader::svarint() {
 }
 
 double binary_reader::f64() { return std::bit_cast<double>(u64()); }
+
+std::size_t binary_reader::count(std::size_t min_item_bytes) {
+  const std::uint64_t n = varint();
+  const std::size_t left = bytes_.size() - pos_;
+  if (n > left / std::max<std::size_t>(min_item_bytes, 1)) {
+    throw invalid_argument_error("binio: count " + std::to_string(n) +
+                                 " exceeds the " + std::to_string(left) +
+                                 " bytes left");
+  }
+  return static_cast<std::size_t>(n);
+}
 
 std::string binary_reader::str() {
   const std::uint64_t n = varint();

@@ -58,6 +58,11 @@ class binary_reader {
   double f64();
   bool boolean() { return u8() != 0; }
   std::string str();
+  // A varint element count for a sequence whose items each encode to at
+  // least `min_item_bytes` (>= 1) bytes. Throws invalid_argument_error
+  // when count x min_item_bytes exceeds the bytes left, so a corrupt or
+  // hostile count can never drive a reserve() or a loop past the input.
+  std::size_t count(std::size_t min_item_bytes);
 
   bool done() const { return pos_ == bytes_.size(); }
   std::size_t pos() const { return pos_; }

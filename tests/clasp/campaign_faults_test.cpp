@@ -1,9 +1,9 @@
 // Fault-injected replay: determinism, health accounting and detector
 // robustness.
 //
-//  * faults-on output must be byte-identical across workers 1/2/8 and
-//    with the link-condition cache on or off (the schedule and every
-//    fault draw come from dedicated counter-based streams);
+//  * faults-on output must be byte-identical across workers 1/2/8 (the
+//    schedule and every fault draw come from dedicated counter-based
+//    streams);
 //  * enabling faults with all rates at zero must leave the measurement
 //    output identical to faults-off (zero extra draws on the
 //    measurement streams);
@@ -19,7 +19,7 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "test_support.hpp"
@@ -31,8 +31,7 @@ namespace {
 using ::clasp::testing::small_internet_config;
 using ::clasp::testing::small_server_config;
 
-platform_config faulty_config(unsigned workers, bool link_cache,
-                              const std::string& preset) {
+platform_config faulty_config(unsigned workers, const std::string& preset) {
   platform_config cfg;
   cfg.internet = small_internet_config();
   cfg.internet.seed = 777;
@@ -46,7 +45,6 @@ platform_config faulty_config(unsigned workers, bool link_cache,
   cfg.servers.global_server_target = 600;
   cfg.topology_budgets = {{"us-west1", 40}};
   cfg.campaign_workers = workers;
-  cfg.campaign_link_cache = link_cache;
   cfg.campaign_faults = fault_config::preset(preset);
   // Raise the stress scenario's preemption rate so a short window
   // reliably exercises the preempt/redeploy path on this tiny fleet;
@@ -90,18 +88,17 @@ faulty_snapshot snapshot_of(clasp_platform& p, campaign_runner& c) {
   return snap;
 }
 
-// One platform per (workers, link_cache, preset), memoized: platform
-// construction dominates this suite's runtime.
-const faulty_snapshot& run_once(unsigned workers, bool link_cache,
-                                const std::string& preset) {
-  using key_t = std::tuple<unsigned, bool, std::string>;
+// One platform per (workers, preset), memoized: platform construction
+// dominates this suite's runtime.
+const faulty_snapshot& run_once(unsigned workers, const std::string& preset) {
+  using key_t = std::pair<unsigned, std::string>;
   static std::map<key_t, faulty_snapshot>* memo =
       new std::map<key_t, faulty_snapshot>();
-  const key_t key{workers, link_cache, preset};
+  const key_t key{workers, preset};
   const auto it = memo->find(key);
   if (it != memo->end()) return it->second;
 
-  clasp_platform p(faulty_config(workers, link_cache, preset));
+  clasp_platform p(faulty_config(workers, preset));
   campaign_runner& c = p.start_topology_campaign("us-west1", four_days());
   c.run();
   return memo->emplace(key, snapshot_of(p, c)).first->second;
@@ -129,15 +126,14 @@ void expect_identical(const faulty_snapshot& a, const faulty_snapshot& b) {
   }
 }
 
-TEST(CampaignFaultsTest, FaultsOnIsByteIdenticalAcrossWorkersAndCache) {
-  const faulty_snapshot& reference = run_once(1, true, "high");
+TEST(CampaignFaultsTest, FaultsOnIsByteIdenticalAcrossWorkers) {
+  const faulty_snapshot& reference = run_once(1, "high");
   ASSERT_FALSE(reference.csv.empty());
   // High rates actually exercised something.
   EXPECT_GT(reference.health.total_retries, 0u);
   EXPECT_GT(reference.health.withdrawn_servers, 0u);
-  for (const unsigned workers : {1u, 2u, 8u}) {
-    expect_identical(reference, run_once(workers, true, "high"));
-    expect_identical(reference, run_once(workers, false, "high"));
+  for (const unsigned workers : {2u, 8u}) {
+    expect_identical(reference, run_once(workers, "high"));
   }
 }
 
@@ -145,11 +141,11 @@ TEST(CampaignFaultsTest, ZeroRatesMatchFaultsOffMetrics) {
   // Enabled-with-zero-rates draws nothing from the measurement streams,
   // so every metric matches the faults-off run; only the test_status
   // series is extra.
-  clasp_platform off(faulty_config(1, true, "off"));
+  clasp_platform off(faulty_config(1, "off"));
   campaign_runner& c_off = off.start_topology_campaign("us-west1", four_days());
   c_off.run();
 
-  platform_config zero_cfg = faulty_config(1, true, "off");
+  platform_config zero_cfg = faulty_config(1, "off");
   zero_cfg.campaign_faults.enabled = true;  // all rates stay 0
   clasp_platform zero(zero_cfg);
   campaign_runner& c_zero = zero.start_topology_campaign("us-west1", four_days());
@@ -175,7 +171,7 @@ TEST(CampaignFaultsTest, ZeroRatesMatchFaultsOffMetrics) {
 TEST(CampaignFaultsTest, HealthMatchesInjectedOutageScheduleExactly) {
   // Hand-injected outages with zero fault rates: the health report must
   // reproduce the schedule hour for hour.
-  platform_config cfg = faulty_config(1, true, "off");
+  platform_config cfg = faulty_config(1, "off");
   cfg.campaign_faults.enabled = true;
   clasp_platform p(cfg);
   campaign_runner& c = p.start_topology_campaign("us-west1", four_days());
@@ -221,7 +217,7 @@ TEST(CampaignFaultsTest, HealthMatchesInjectedOutageScheduleExactly) {
 TEST(CampaignFaultsTest, StrictBudgetSurfacesBudgetExceededError) {
   // A 100% failure rate with a strict budget: retries starve later
   // sessions of their slots on the very first hour.
-  platform_config cfg = faulty_config(1, true, "off");
+  platform_config cfg = faulty_config(1, "off");
   cfg.campaign_faults.enabled = true;
   cfg.campaign_faults.test_failure_rate = 1.0;
   cfg.campaign_faults.max_retries = 16;
@@ -250,7 +246,7 @@ TEST(CampaignFaultsTest, LowFaultRateKeepsDetectorWithinTwoPoints) {
   // fault impact, not small-sample noise.
   const hour_range window{four_days().begin_at, four_days().begin_at + 240};
   auto validated = [&](const std::string& preset) {
-    clasp_platform p(faulty_config(1, true, preset));
+    clasp_platform p(faulty_config(1, preset));
     campaign_runner& c = p.start_topology_campaign("us-west1", window);
     c.run();
     detector_validation total;
@@ -281,8 +277,8 @@ TEST(CampaignFaultsTest, LowFaultRateKeepsDetectorWithinTwoPoints) {
 
 TEST(CampaignFaultsTest, AnalysisGapToleranceFiltersIncompleteServers) {
   // The analysis-side completeness helpers agree with campaign_health.
-  const faulty_snapshot& snap = run_once(1, true, "high");
-  clasp_platform p(faulty_config(1, true, "high"));
+  const faulty_snapshot& snap = run_once(1, "high");
+  clasp_platform p(faulty_config(1, "high"));
   campaign_runner& c = p.start_topology_campaign("us-west1", four_days());
   c.run();
   const auto data = p.download_series("topology", c.config().region);

@@ -1,11 +1,11 @@
 // Parallel replay determinism: the same campaign run with 1, 2 and 8
-// workers — and with the hour-epoch link-condition cache on or off —
-// must produce point-for-point identical TSDB contents, billing totals,
-// someta records and bucket artifacts. Every VM-hour draws from its own
-// counter-based RNG stream and staged results merge in VM-slot order, so
-// the worker count can only change wall-clock, never values; the cache
-// stores exactly what the load model computes, so it too is invisible in
-// the output.
+// workers — and replayed hour by hour without ever prefilling the
+// hour-epoch link-condition cache — must produce point-for-point
+// identical TSDB contents, billing totals, someta records and bucket
+// artifacts. Every VM-hour draws from its own counter-based RNG stream
+// and staged results merge in VM-slot order, so the worker count can
+// only change wall-clock, never values; the cache stores exactly what
+// the load model computes, so it too is invisible in the output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <new>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_support.hpp"
+#include "util/error.hpp"
 
 // --- counting allocator ---------------------------------------------------
 // Binary-wide replacement of the global allocation functions so the
@@ -74,8 +74,7 @@ namespace {
 using ::clasp::testing::small_internet_config;
 using ::clasp::testing::small_server_config;
 
-platform_config tiny_config(unsigned workers, bool link_cache = true,
-                            bool batch_eval = true) {
+platform_config tiny_config(unsigned workers) {
   platform_config cfg;
   cfg.internet = small_internet_config();
   cfg.internet.seed = 777;
@@ -90,8 +89,6 @@ platform_config tiny_config(unsigned workers, bool link_cache = true,
   cfg.servers.global_server_target = 600;
   cfg.topology_budgets = {{"us-west1", 40}};
   cfg.campaign_workers = workers;
-  cfg.campaign_link_cache = link_cache;
-  cfg.campaign_batch_eval = batch_eval;
   return cfg;
 }
 
@@ -144,23 +141,24 @@ campaign_snapshot snapshot_of(clasp_platform& p, campaign_runner& c) {
   return snap;
 }
 
-// Each (workers, link_cache, batch_eval) platform is built once and its
-// snapshot shared across tests (platform construction dominates this
-// suite's runtime).
-const campaign_snapshot& run_once(unsigned workers, bool link_cache = true,
-                                  bool batch_eval = true) {
-  static std::map<std::tuple<unsigned, bool, bool>, campaign_snapshot>* memo =
-      new std::map<std::tuple<unsigned, bool, bool>, campaign_snapshot>();
-  const auto key = std::make_tuple(workers, link_cache, batch_eval);
-  const auto it = memo->find(key);
+// Exercise the outage path too: slot 0 down for four mid-window hours.
+void inject_outage(campaign_runner& c) {
+  c.inject_vm_outage(0, {two_days().begin_at + 20, two_days().begin_at + 24});
+}
+
+// Each worker count's platform is built once and its snapshot shared
+// across tests (platform construction dominates this suite's runtime).
+const campaign_snapshot& run_once(unsigned workers) {
+  static std::map<unsigned, campaign_snapshot>* memo =
+      new std::map<unsigned, campaign_snapshot>();
+  const auto it = memo->find(workers);
   if (it != memo->end()) return it->second;
 
-  clasp_platform p(tiny_config(workers, link_cache, batch_eval));
+  clasp_platform p(tiny_config(workers));
   campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
-  // Exercise the outage path too: slot 0 down for four mid-window hours.
-  c.inject_vm_outage(0, {two_days().begin_at + 20, two_days().begin_at + 24});
+  inject_outage(c);
   c.run();
-  return memo->emplace(key, snapshot_of(p, c)).first->second;
+  return memo->emplace(workers, snapshot_of(p, c)).first->second;
 }
 
 // TSDB contents, point for point, in identical series order.
@@ -231,18 +229,6 @@ TEST(CampaignParallelTest, WorkerCountNeverChangesResults) {
   expect_identical(serial, eight);
 }
 
-TEST(CampaignParallelTest, LinkCacheNeverChangesResults) {
-  // The full cache on/off x workers 1/2/8 matrix must agree byte for
-  // byte (the cached runs come memoized from the test above when it ran
-  // first; order doesn't matter).
-  const campaign_snapshot& reference = run_once(1, /*link_cache=*/true);
-  ASSERT_FALSE(reference.csv.empty());
-  for (const unsigned workers : {1u, 2u, 8u}) {
-    expect_identical(reference, run_once(workers, /*link_cache=*/true));
-    expect_identical(reference, run_once(workers, /*link_cache=*/false));
-  }
-}
-
 TEST(CampaignParallelTest, MetricsNeverChangeResults) {
   // Observability must be a pure observer: the same campaign with the
   // obs subsystem recording (counters, spans, heartbeat cadence) must be
@@ -258,8 +244,7 @@ TEST(CampaignParallelTest, MetricsNeverChangeResults) {
     cfg.obs_heartbeat_every_hours = 7;  // exercise the heartbeat path too
     clasp_platform p(cfg);
     campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
-    c.inject_vm_outage(0,
-                       {two_days().begin_at + 20, two_days().begin_at + 24});
+    inject_outage(c);
     c.run();
     const campaign_snapshot snap = snapshot_of(p, c);
     obs::set_enabled(false);
@@ -282,36 +267,72 @@ TEST(CampaignParallelTest, MetricsNeverChangeResults) {
   }
 }
 
-TEST(CampaignParallelTest, BatchEvalNeverChangesResults) {
-  // The legacy per-session path is kept: the full batch on/off x cache
-  // on/off x workers 1/2/8 matrix must agree byte for byte.
-  const campaign_snapshot& reference = run_once(1, /*link_cache=*/true,
-                                                /*batch_eval=*/true);
-  ASSERT_FALSE(reference.csv.empty());
-  for (const unsigned workers : {1u, 2u, 8u}) {
-    expect_identical(reference, run_once(workers, true, false));
-    expect_identical(reference, run_once(workers, false, false));
-    expect_identical(reference, run_once(workers, false, true));
+// The campaign replayed through public calls only, never prefilling the
+// condition cache: every hop of every sweep takes the direct load-model
+// computation. Returns the snapshot and the growth of
+// clasp_cache_prefill_links_total over the replay.
+std::pair<campaign_snapshot, std::uint64_t> unprefilled_replay(
+    const platform_config& cfg) {
+  obs::set_enabled(true);
+  clasp_platform p(cfg);
+  campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
+  inject_outage(c);
+  const obs::counter& fills = obs::metrics_registry::instance().get_counter(
+      obs::family::kCachePrefillLinks);
+  const std::uint64_t before = fills.value();
+  campaign_runner::vm_hour_staging staged;
+  for (hour_stamp at = two_days().begin_at; at < two_days().end_at; ++at) {
+    c.begin_hour(at);
+    c.evaluate_hour(at);
+    for (std::size_t v = 0; v < c.vm_count(); ++v) {
+      c.stage_vm_hour_into(v, at, staged);
+      c.commit_vm_hour(v, std::move(staged));
+    }
+  }
+  c.charge_monthly_storage();
+  const std::uint64_t filled = fills.value() - before;
+  obs::set_enabled(false);
+  return {snapshot_of(p, c), filled};
+}
+
+TEST(CampaignParallelTest, UnprefilledReplayMatchesRun) {
+  // The condition cache may change speed, never a value: with faults off
+  // and with the low preset (retries, churn, preemption), a replay that
+  // never prefills matches run() on a twin platform byte for byte.
+  for (const char* preset : {"off", "low"}) {
+    platform_config cfg = tiny_config(1);
+    cfg.campaign_faults = fault_config::preset(preset);
+    campaign_snapshot reference;
+    {
+      clasp_platform p(cfg);
+      campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
+      inject_outage(c);
+      EXPECT_TRUE(c.run());
+      reference = snapshot_of(p, c);
+    }
+    ASSERT_GT(reference.tests_run, 0u) << preset;
+    const auto [replayed, filled] = unprefilled_replay(cfg);
+    EXPECT_EQ(filled, 0u) << preset;
+    expect_identical(reference, replayed);
   }
 }
 
-TEST(CampaignParallelTest, FaultsWithBatchEvalAgree) {
-  // Retries are the risky path: a retried test in batch mode reuses the
-  // hour's precomputed path metrics, while the legacy path re-evaluates
-  // them per attempt. Both must produce the same bytes under the low
-  // fault preset (which exercises retries, churn and VM preemption).
-  campaign_snapshot snaps[2];
-  for (int b = 0; b < 2; ++b) {
-    platform_config cfg = tiny_config(1, /*link_cache=*/true,
-                                      /*batch_eval=*/b == 1);
-    cfg.campaign_faults = fault_config::preset("low");
-    clasp_platform p(cfg);
-    campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
-    c.run();
-    snaps[b] = snapshot_of(p, c);
-  }
-  EXPECT_GT(snaps[0].tests_run, 0u);
-  expect_identical(snaps[0], snaps[1]);
+TEST(CampaignParallelTest, StagingWithoutEvaluateHourIsStateError) {
+  // Staging reads only the hour's arena sweep: an hour evaluate_hour did
+  // not sweep is a caller error, not a slow path.
+  clasp_platform p(tiny_config(1));
+  campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
+  const hour_stamp at = two_days().begin_at;
+  campaign_runner::vm_hour_staging staged;
+  EXPECT_THROW(c.stage_vm_hour_into(0, at, staged), state_error);
+  c.evaluate_hour(at);
+  EXPECT_NO_THROW(c.stage_vm_hour_into(0, at, staged));
+  EXPECT_THROW(c.stage_vm_hour_into(0, at + 1, staged), state_error);
+  // run_hour sweeps the hours it stages.
+  c.run_hour(at);
+  c.run_hour(at + 1);
+  EXPECT_NO_THROW(c.stage_vm_hour_into(0, at + 1, staged));
+  EXPECT_THROW(c.stage_vm_hour_into(0, at, staged), state_error);
 }
 
 TEST(CampaignParallelTest, SteadyStateStagingIsAllocationFree) {

@@ -4,9 +4,10 @@
 // TSDB contents, exported CSV, billing totals, bucket artifacts, someta
 // records and the campaign_health report. The sweep crosses kill points
 // (checkpoint boundary, mid-interval, torn/partial WAL) with worker
-// counts {1, 2, 8}, link cache on/off and fault presets off/low; the
-// already-proven invariance across workers and cache means each kill
-// state needs only some of the combos, spread to cover them all.
+// counts {1, 2, 8} and fault presets off/low; the already-proven
+// invariance across workers means each kill state needs only some of the
+// combos, spread to cover them all. Malformed WAL records are typed
+// errors, never out-of-range writes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "clasp/checkpoint.hpp"
 #include "test_support.hpp"
 #include "tsdb/wal.hpp"
+#include "util/binio.hpp"
 #include "util/error.hpp"
 
 namespace clasp {
@@ -31,8 +33,7 @@ namespace fs = std::filesystem;
 using ::clasp::testing::small_internet_config;
 using ::clasp::testing::small_server_config;
 
-platform_config tiny_config(unsigned workers, bool link_cache,
-                            const std::string& faults_preset,
+platform_config tiny_config(unsigned workers, const std::string& faults_preset,
                             const std::string& checkpoint_dir = "",
                             unsigned every_hours = 10) {
   platform_config cfg;
@@ -49,7 +50,6 @@ platform_config tiny_config(unsigned workers, bool link_cache,
   cfg.servers.global_server_target = 600;
   cfg.topology_budgets = {{"us-west1", 40}};
   cfg.campaign_workers = workers;
-  cfg.campaign_link_cache = link_cache;
   cfg.campaign_faults = fault_config::preset(faults_preset);
   cfg.campaign_checkpoint_dir = checkpoint_dir;
   cfg.campaign_checkpoint_every_hours = every_hours;
@@ -149,7 +149,7 @@ const campaign_snapshot& reference(const std::string& faults_preset) {
       new std::map<std::string, campaign_snapshot>();
   const auto it = memo->find(faults_preset);
   if (it != memo->end()) return it->second;
-  clasp_platform p(tiny_config(1, true, faults_preset));
+  clasp_platform p(tiny_config(1, faults_preset));
   campaign_runner& c = p.start_topology_campaign("us-west1", window());
   EXPECT_TRUE(c.run());
   return memo->emplace(faults_preset, snapshot_of(p, c)).first->second;
@@ -171,9 +171,8 @@ fs::path test_dir() {
 // checkpoint directory exactly as a SIGKILL at that hour boundary would.
 // Returns the campaign's checkpoint directory.
 std::string run_and_kill(const std::string& root, unsigned workers,
-                         bool link_cache, const std::string& faults_preset,
-                         int kill_at_hour) {
-  clasp_platform p(tiny_config(workers, link_cache, faults_preset, root));
+                         const std::string& faults_preset, int kill_at_hour) {
+  clasp_platform p(tiny_config(workers, faults_preset, root));
   campaign_runner& c = p.start_topology_campaign("us-west1", window());
   EXPECT_TRUE(c.run_until(window().begin_at + kill_at_hour));
   return c.config().checkpoint_dir;
@@ -182,10 +181,9 @@ std::string run_and_kill(const std::string& root, unsigned workers,
 // Fresh process: rebuild the platform deterministically, resume from the
 // checkpoint directory, finish the window and snapshot the output.
 campaign_snapshot resume_and_finish(const std::string& root, unsigned workers,
-                                    bool link_cache,
                                     const std::string& faults_preset,
                                     bool expect_resumed = true) {
-  clasp_platform p(tiny_config(workers, link_cache, faults_preset, root));
+  clasp_platform p(tiny_config(workers, faults_preset, root));
   campaign_runner& c = p.start_topology_campaign("us-west1", window());
   EXPECT_EQ(c.resume(c.config().checkpoint_dir), expect_resumed);
   EXPECT_TRUE(c.run());
@@ -197,7 +195,7 @@ TEST(CampaignResume, DurableRunIsByteIdenticalToPlainRun) {
   // durable run is comparable across worker counts like any other.
   for (const char* preset : {"off", "low"}) {
     const fs::path root = test_dir();
-    clasp_platform p(tiny_config(2, true, preset, root.string()));
+    clasp_platform p(tiny_config(2, preset, root.string()));
     campaign_runner& c = p.start_topology_campaign("us-west1", window());
     EXPECT_TRUE(c.durable());
     EXPECT_TRUE(c.run());
@@ -214,12 +212,12 @@ TEST(CampaignResume, DurableRunIsByteIdenticalToPlainRun) {
 TEST(CampaignResume, KillAtCheckpointBoundary) {
   // Hour 20 is a checkpoint multiple (every 10): the WAL is empty and
   // recovery is pure snapshot restore. Resume with a different worker
-  // count and cache setting than the killed run used.
+  // count than the killed run used.
   for (const char* preset : {"off", "low"}) {
     const fs::path root = test_dir();
-    run_and_kill(root.string(), 2, true, preset, 20);
+    run_and_kill(root.string(), 2, preset, 20);
     expect_identical(reference(preset),
-                     resume_and_finish(root.string(), 8, false, preset));
+                     resume_and_finish(root.string(), 8, preset));
     fs::remove_all(root);
   }
 }
@@ -228,9 +226,9 @@ TEST(CampaignResume, KillMidInterval) {
   // Hour 25: snapshot at 20 plus five WAL-covered hours to replay.
   for (const char* preset : {"off", "low"}) {
     const fs::path root = test_dir();
-    run_and_kill(root.string(), 2, true, preset, 25);
+    run_and_kill(root.string(), 2, preset, 25);
     expect_identical(reference(preset),
-                     resume_and_finish(root.string(), 1, true, preset));
+                     resume_and_finish(root.string(), 1, preset));
     fs::remove_all(root);
   }
 }
@@ -240,15 +238,15 @@ TEST(CampaignResume, RepeatedKillsAcrossTheWindow) {
   // checkpoint multiples nor aligned with each other; serial and
   // parallel replay alternate across the legs.
   const fs::path root = test_dir();
-  run_and_kill(root.string(), 1, true, "low", 7);
+  run_and_kill(root.string(), 1, "low", 7);
   {
-    clasp_platform p(tiny_config(8, true, "low", root.string()));
+    clasp_platform p(tiny_config(8, "low", root.string()));
     campaign_runner& c = p.start_topology_campaign("us-west1", window());
     ASSERT_TRUE(c.resume(c.config().checkpoint_dir));
     EXPECT_TRUE(c.run_until(window().begin_at + 23));
   }
   expect_identical(reference("low"),
-                   resume_and_finish(root.string(), 2, false, "low"));
+                   resume_and_finish(root.string(), 2, "low"));
   fs::remove_all(root);
 }
 
@@ -258,14 +256,14 @@ TEST(CampaignResume, TornWalTailReRunsTheLostHour) {
   // re-run deterministically.
   for (const char* preset : {"off", "low"}) {
     const fs::path root = test_dir();
-    const std::string dir = run_and_kill(root.string(), 2, true, preset, 25);
+    const std::string dir = run_and_kill(root.string(), 2, preset, 25);
     const std::string wal_path = dir + "/wal.log";
     const wal_scan_result scan = scan_wal(wal_path);
     ASSERT_GE(scan.records.size(), 6u);  // 5 hours x >= 2 VMs
     // Tear three bytes into the final record's frame.
     fs::resize_file(wal_path, scan.record_end.back() - 3);
     expect_identical(reference(preset),
-                     resume_and_finish(root.string(), 2, true, preset));
+                     resume_and_finish(root.string(), 2, preset));
     fs::remove_all(root);
   }
 }
@@ -274,14 +272,14 @@ TEST(CampaignResume, PartialHourGroupIsDropped) {
   // Kill between two slot commits of the same hour: complete frames, but
   // not all of the hour's VM records made it. The whole hour re-runs.
   const fs::path root = test_dir();
-  const std::string dir = run_and_kill(root.string(), 2, true, "low", 25);
+  const std::string dir = run_and_kill(root.string(), 2, "low", 25);
   const std::string wal_path = dir + "/wal.log";
   const wal_scan_result scan = scan_wal(wal_path);
   ASSERT_GT(scan.records.size(), 1u);
   // Keep all but the last record: the final hour's group loses one slot.
   truncate_wal(wal_path, scan.record_end[scan.record_end.size() - 2]);
   expect_identical(reference("low"),
-                   resume_and_finish(root.string(), 2, true, "low"));
+                   resume_and_finish(root.string(), 2, "low"));
   fs::remove_all(root);
 }
 
@@ -289,7 +287,7 @@ TEST(CampaignResume, StaleWalRecordsAreSkipped) {
   // Crash between checkpoint publish and WAL reset: the log still holds
   // records from hours the snapshot already covers. They are skipped.
   const fs::path root = test_dir();
-  const std::string dir = run_and_kill(root.string(), 2, true, "low", 25);
+  const std::string dir = run_and_kill(root.string(), 2, "low", 25);
   // Save the five WAL-covered hours (20..24).
   std::string stale;
   {
@@ -302,7 +300,7 @@ TEST(CampaignResume, StaleWalRecordsAreSkipped) {
   // Advance the same directory to the hour-30 checkpoint (WAL reset),
   // then re-plant the stale records as if the reset never happened.
   {
-    clasp_platform p(tiny_config(2, true, "low", root.string()));
+    clasp_platform p(tiny_config(2, "low", root.string()));
     campaign_runner& c = p.start_topology_campaign("us-west1", window());
     ASSERT_TRUE(c.resume(dir));
     EXPECT_TRUE(c.run_until(window().begin_at + 30));
@@ -313,7 +311,7 @@ TEST(CampaignResume, StaleWalRecordsAreSkipped) {
     out << stale;
   }
   expect_identical(reference("low"),
-                   resume_and_finish(root.string(), 2, true, "low"));
+                   resume_and_finish(root.string(), 2, "low"));
   fs::remove_all(root);
 }
 
@@ -321,7 +319,7 @@ TEST(CampaignResume, InterruptCheckpointsAndResumeFinishes) {
   const fs::path root = test_dir();
   std::string dir;
   {
-    clasp_platform p(tiny_config(2, true, "low", root.string()));
+    clasp_platform p(tiny_config(2, "low", root.string()));
     campaign_runner& c = p.start_topology_campaign("us-west1", window());
     dir = c.config().checkpoint_dir;
     c.request_interrupt();
@@ -329,7 +327,7 @@ TEST(CampaignResume, InterruptCheckpointsAndResumeFinishes) {
     EXPECT_TRUE(current_checkpoint(dir).has_value());
   }
   expect_identical(reference("low"),
-                   resume_and_finish(root.string(), 2, true, "low"));
+                   resume_and_finish(root.string(), 2, "low"));
   fs::remove_all(root);
 }
 
@@ -337,11 +335,11 @@ TEST(CampaignResume, KillMidIntervalAtTenTimesFleetScale) {
   // The scaled fleet's CSR/arena state must round-trip the checkpoint
   // wire format: at 10x fleet_scale, kill mid-interval (snapshot at 20
   // plus WAL-covered hours) and finish byte-identically to an
-  // uninterrupted 10x run — resuming with different worker count, cache
-  // and batch settings than the killed run used.
+  // uninterrupted 10x run — resuming with a different worker count than
+  // the killed run used.
   campaign_snapshot ref;
   {
-    platform_config cfg = tiny_config(2, true, "low");
+    platform_config cfg = tiny_config(2, "low");
     cfg.fleet_scale = 10;
     clasp_platform p(cfg);
     campaign_runner& c = p.start_topology_campaign("us-west1", window());
@@ -350,7 +348,7 @@ TEST(CampaignResume, KillMidIntervalAtTenTimesFleetScale) {
   }
   const fs::path root = test_dir();
   {
-    platform_config cfg = tiny_config(2, true, "low", root.string());
+    platform_config cfg = tiny_config(2, "low", root.string());
     cfg.fleet_scale = 10;
     clasp_platform p(cfg);
     campaign_runner& c = p.start_topology_campaign("us-west1", window());
@@ -358,9 +356,8 @@ TEST(CampaignResume, KillMidIntervalAtTenTimesFleetScale) {
     EXPECT_TRUE(c.run_until(window().begin_at + 25));
   }
   {
-    platform_config cfg = tiny_config(1, false, "low", root.string());
+    platform_config cfg = tiny_config(1, "low", root.string());
     cfg.fleet_scale = 10;
-    cfg.campaign_batch_eval = false;  // resume on the legacy path
     clasp_platform p(cfg);
     campaign_runner& c = p.start_topology_campaign("us-west1", window());
     ASSERT_TRUE(c.resume(c.config().checkpoint_dir));
@@ -373,7 +370,7 @@ TEST(CampaignResume, KillMidIntervalAtTenTimesFleetScale) {
 TEST(CampaignResume, ResumeWithoutCheckpointReturnsFalse) {
   const fs::path root = test_dir();
   expect_identical(reference("off"),
-                   resume_and_finish(root.string(), 1, true, "off",
+                   resume_and_finish(root.string(), 1, "off",
                                      /*expect_resumed=*/false));
   fs::remove_all(root);
 }
@@ -383,20 +380,20 @@ TEST(CampaignResume, ResumeAfterCompletionIsANoOp) {
   // the monthly storage charge.
   const fs::path root = test_dir();
   {
-    clasp_platform p(tiny_config(2, true, "off", root.string()));
+    clasp_platform p(tiny_config(2, "off", root.string()));
     campaign_runner& c = p.start_topology_campaign("us-west1", window());
     EXPECT_TRUE(c.run());
   }
   expect_identical(reference("off"),
-                   resume_and_finish(root.string(), 2, true, "off"));
+                   resume_and_finish(root.string(), 2, "off"));
   fs::remove_all(root);
 }
 
 TEST(CampaignResume, FingerprintMismatchIsRejected) {
   const fs::path root = test_dir();
-  run_and_kill(root.string(), 1, true, "low", 20);
+  run_and_kill(root.string(), 1, "low", 20);
   // Same directory, different fault schedule -> a different campaign.
-  clasp_platform p(tiny_config(1, true, "off", root.string()));
+  clasp_platform p(tiny_config(1, "off", root.string()));
   campaign_runner& c = p.start_topology_campaign("us-west1", window());
   EXPECT_THROW(c.resume(c.config().checkpoint_dir), state_error);
   fs::remove_all(root);
@@ -404,7 +401,7 @@ TEST(CampaignResume, FingerprintMismatchIsRejected) {
 
 TEST(CampaignResume, CorruptCheckpointIsRejected) {
   const fs::path root = test_dir();
-  const std::string dir = run_and_kill(root.string(), 1, true, "off", 20);
+  const std::string dir = run_and_kill(root.string(), 1, "off", 20);
   const auto current = current_checkpoint(dir);
   ASSERT_TRUE(current.has_value());
   // Flip one byte of the serialized state: the CRC frame must catch it.
@@ -421,7 +418,7 @@ TEST(CampaignResume, CorruptCheckpointIsRejected) {
     std::ofstream out(state_path, std::ios::binary | std::ios::trunc);
     out << bytes;
   }
-  clasp_platform p(tiny_config(1, true, "off", root.string()));
+  clasp_platform p(tiny_config(1, "off", root.string()));
   campaign_runner& c = p.start_topology_campaign("us-west1", window());
   EXPECT_THROW(c.resume(c.config().checkpoint_dir), invalid_argument_error);
   fs::remove_all(root);
@@ -434,7 +431,7 @@ TEST(CampaignResume, CheckpointPublishFailureQuarantinesAndKeepsCurrent) {
   const fs::path root = test_dir();
   std::string dir;
   {
-    clasp_platform p(tiny_config(2, true, "low", root.string()));
+    clasp_platform p(tiny_config(2, "low", root.string()));
     campaign_runner& c = p.start_topology_campaign("us-west1", window());
     ASSERT_TRUE(c.run_until(window().begin_at + 20));
     dir = c.config().checkpoint_dir;
@@ -459,7 +456,7 @@ TEST(CampaignResume, CheckpointPublishFailureQuarantinesAndKeepsCurrent) {
   // The surviving checkpoint (plus the WAL hours committed before the
   // failed publish) resumes and finishes byte-identically.
   expect_identical(reference("low"),
-                   resume_and_finish(root.string(), 2, true, "low"));
+                   resume_and_finish(root.string(), 2, "low"));
   fs::remove_all(root);
 }
 
@@ -468,7 +465,7 @@ TEST(CampaignResume, CorruptWalInteriorRefusesResume) {
   // crash tear: resume must refuse the log with a typed error instead
   // of silently truncating and re-running.
   const fs::path root = test_dir();
-  const std::string dir = run_and_kill(root.string(), 2, true, "low", 25);
+  const std::string dir = run_and_kill(root.string(), 2, "low", 25);
   const std::string wal_path = dir + "/wal.log";
   const wal_scan_result scan = scan_wal(wal_path);
   ASSERT_GT(scan.records.size(), 2u);
@@ -483,9 +480,69 @@ TEST(CampaignResume, CorruptWalInteriorRefusesResume) {
     f.seekp(at);
     f.put(static_cast<char>(byte ^ 0x01));
   }
-  clasp_platform p(tiny_config(2, true, "low", root.string()));
+  clasp_platform p(tiny_config(2, "low", root.string()));
   campaign_runner& c = p.start_topology_campaign("us-west1", window());
   EXPECT_THROW(c.resume(c.config().checkpoint_dir), corruption_error);
+  fs::remove_all(root);
+}
+
+TEST(CampaignResume, MalformedWalRecordIsTypedError) {
+  // WAL records are also the dist wire format, so they arrive from files
+  // and sockets. A record whose counts, slot, sessions, outcomes or
+  // billed VMs do not fit this campaign must be rejected by the decoder
+  // before commit_vm_hour indexes anything with them.
+  const fs::path root = test_dir();
+  const std::string dir = run_and_kill(root.string(), 1, "low", 25);
+  const wal_scan_result scan = scan_wal(dir + "/wal.log");
+  ASSERT_GT(scan.records.size(), 1u);
+  clasp_platform p(tiny_config(1, "low", root.string()));
+  campaign_runner& c = p.start_topology_campaign("us-west1", window());
+  campaign_runner::vm_hour_staging good;
+  ASSERT_EQ(c.decode_wal_record(scan.records[0], good), 0u);
+  ASSERT_FALSE(good.outcomes.empty());
+  ASSERT_FALSE(good.charges.vm_hours.empty());
+  EXPECT_EQ(c.encode_wal_record(0, good), scan.records[0]);
+
+  std::vector<std::string> bad;
+  {
+    campaign_runner::vm_hour_staging s = good;
+    s.outcomes.back().session =
+        static_cast<std::uint32_t>(c.session_count() + 1000);
+    bad.push_back(c.encode_wal_record(0, s));
+  }
+  {
+    campaign_runner::vm_hour_staging s = good;
+    s.outcomes.front().outcome = static_cast<test_outcome>(9);
+    bad.push_back(c.encode_wal_record(0, s));
+  }
+  // A slot outside the fleet, and slot 1 billing slot 0's VM.
+  bad.push_back(c.encode_wal_record(c.vm_count(), good));
+  bad.push_back(c.encode_wal_record(1, good));
+  {
+    // A 2^60 point count with no points behind it.
+    binary_writer w;
+    w.u8('V');
+    w.varint(0);
+    w.svarint(good.at.hours_since_epoch());
+    w.varint(std::uint64_t{1} << 60);
+    bad.push_back(w.take());
+  }
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    campaign_runner::vm_hour_staging out;
+    EXPECT_THROW(c.decode_wal_record(bad[i], out), invalid_argument_error)
+        << "bad record " << i;
+  }
+
+  // The same record in a CRC-valid WAL frame: resume refuses it with the
+  // same typed error instead of committing it.
+  {
+    wal_writer wal(dir + "/wal.log", /*truncate=*/true);
+    wal.append(bad[0]);
+    wal.flush();
+  }
+  clasp_platform q(tiny_config(1, "low", root.string()));
+  campaign_runner& d = q.start_topology_campaign("us-west1", window());
+  EXPECT_THROW(d.resume(d.config().checkpoint_dir), invalid_argument_error);
   fs::remove_all(root);
 }
 

@@ -38,18 +38,30 @@ TEST(CliTest, ParsesObservabilityFlags) {
   EXPECT_EQ(opts.heartbeat_every, 6);
 }
 
-TEST(CliTest, ParsesFleetScaleAndBatchEval) {
+TEST(CliTest, ParsesFleetScale) {
   cli_options opts;
-  const auto r = parse(
-      {"run", "--fleet-scale", "10", "--batch-eval", "off"}, opts);
+  const auto r = parse({"run", "--fleet-scale", "10"}, opts);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(opts.fleet_scale, 10);
-  EXPECT_EQ(opts.batch_eval, 0);
-  // Both default to "use the config's value".
+  // Defaults to "use the config's value".
   cli_options defaults;
   ASSERT_TRUE(parse({"run"}, defaults).ok);
   EXPECT_EQ(defaults.fleet_scale, -1);
-  EXPECT_EQ(defaults.batch_eval, -1);
+}
+
+TEST(CliTest, RemovedSpeedKnobFlagsAreRejected) {
+  // The condition cache and the batched sweep are always on; the old
+  // flags are unknown, whatever their value.
+  for (const char* flag : {"--link-cache", "--batch-eval"}) {
+    for (const char* value : {"on", "off"}) {
+      cli_options opts;
+      const auto r = parse({"run", flag, value}, opts);
+      EXPECT_FALSE(r.ok) << flag << " " << value;
+      EXPECT_NE(r.error.find(std::string("unknown flag ") + flag),
+                std::string::npos)
+          << r.error;
+    }
+  }
 }
 
 TEST(CliTest, RejectsZeroFleetScaleWithGuidance) {
@@ -62,7 +74,6 @@ TEST(CliTest, RejectsZeroFleetScaleWithGuidance) {
   EXPECT_NE(r.error.find("--fleet-scale 1"), std::string::npos);
   EXPECT_FALSE(parse({"run", "--fleet-scale", "-4"}, opts).ok);
   EXPECT_FALSE(parse({"run", "--fleet-scale", "ten"}, opts).ok);
-  EXPECT_FALSE(parse({"run", "--batch-eval", "maybe"}, opts).ok);
 }
 
 TEST(CliTest, FleetScaleTypoGetsSuggestion) {
@@ -135,7 +146,6 @@ TEST(CliTest, ValidatesValueRanges) {
   EXPECT_FALSE(parse({"run", "--days", "seven"}, opts).ok);
   EXPECT_FALSE(parse({"run", "--tier", "gold"}, opts).ok);
   EXPECT_FALSE(parse({"run", "--workers", "-1"}, opts).ok);
-  EXPECT_FALSE(parse({"run", "--link-cache", "maybe"}, opts).ok);
   EXPECT_FALSE(parse({"run", "--faults", "medium"}, opts).ok);
   EXPECT_FALSE(parse({"run", "--swarm", "medium"}, opts).ok);
   EXPECT_FALSE(parse({"run", "--checkpoint-every", "0"}, opts).ok);

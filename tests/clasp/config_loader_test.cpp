@@ -230,17 +230,32 @@ TEST(ConfigLoaderTest, ZeroCheckpointCadenceRejected) {
   }
 }
 
-TEST(ConfigLoaderTest, FleetScaleAndBatchEvalApply) {
-  const platform_config cfg = load_platform_config(
-      "[campaign]\n"
-      "fleet_scale = 10\n"
-      "batch_eval = false\n");
+TEST(ConfigLoaderTest, FleetScaleApplies) {
+  const platform_config cfg =
+      load_platform_config("[campaign]\nfleet_scale = 10\n");
   EXPECT_EQ(cfg.fleet_scale, 10u);
-  EXPECT_FALSE(cfg.campaign_batch_eval);
-  // Defaults: paper-scale fleet, batched evaluation on.
-  const platform_config defaults = load_platform_config("");
-  EXPECT_EQ(defaults.fleet_scale, 1u);
-  EXPECT_TRUE(defaults.campaign_batch_eval);
+  // Default: the paper-scale fleet.
+  EXPECT_EQ(load_platform_config("").fleet_scale, 1u);
+}
+
+TEST(ConfigLoaderTest, RemovedSpeedKnobsAreUnknownKeys) {
+  // The condition cache and the batched sweep are always on; configs that
+  // still set the old knobs fail loudly instead of being silently obeyed.
+  for (const char* key : {"link_cache", "batch_eval"}) {
+    for (const char* value : {"true", "false"}) {
+      const std::string text =
+          std::string("[campaign]\n") + key + " = " + value + "\n";
+      try {
+        load_platform_config(text);
+        FAIL() << "expected invalid_argument_error for " << key;
+      } catch (const invalid_argument_error& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("unknown key campaign.") +
+                                             key),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(ConfigLoaderTest, ZeroFleetScaleRejected) {

@@ -102,5 +102,37 @@ TEST(BinioTest, TruncatedReadsThrow) {
   EXPECT_THROW(r2.varint(), invalid_argument_error);
 }
 
+TEST(BinioTest, CountIsBoundedByTheBytesLeft) {
+  // A count followed by exactly 12 bytes: 12 one-byte items or 3 four-byte
+  // items fit, one more of either does not.
+  const auto reader_for = [](std::uint64_t n) {
+    binary_writer w;
+    w.varint(n);
+    for (int i = 0; i < 12; ++i) w.u8(0);
+    return w.take();
+  };
+  std::string bytes = reader_for(12);
+  EXPECT_EQ(binary_reader(bytes).count(1), 12u);
+  EXPECT_THROW(binary_reader(reader_for(13)).count(1), invalid_argument_error);
+  bytes = reader_for(3);
+  EXPECT_EQ(binary_reader(bytes).count(4), 3u);
+  EXPECT_THROW(binary_reader(reader_for(4)).count(4), invalid_argument_error);
+  // A zero count always fits, even with nothing after it.
+  EXPECT_EQ(binary_reader(std::string(1, '\0')).count(9), 0u);
+  // Counts whose byte total overflows 64 bits are rejected, not wrapped.
+  for (const std::uint64_t huge :
+       {std::uint64_t{1} << 60, std::numeric_limits<std::uint64_t>::max()}) {
+    binary_writer w;
+    w.varint(huge);
+    EXPECT_THROW(binary_reader(w.bytes()).count(16), invalid_argument_error);
+    EXPECT_THROW(binary_reader(w.bytes()).count(1), invalid_argument_error);
+  }
+  // The count is consumed: the reader continues at the first item.
+  bytes = reader_for(2);
+  binary_reader r(bytes);
+  ASSERT_EQ(r.count(6), 2u);
+  EXPECT_EQ(r.pos(), 1u);
+}
+
 }  // namespace
 }  // namespace clasp

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """CI gate for BENCH_campaign.json.
 
-Asserts the campaign bench emitted the fleet-scale configurations and the
-speedup_at_10x field, and applies the soft perf-regression gate: fail when
-the serial batched-cached 1x ns/hour regresses more than 10% over the
-committed baseline (bench/campaign_baseline.json).
+Asserts the campaign bench emitted the 10x fleet whole-hour run and the
+link-hour evaluation pair behind speedup_at_10x (batched arena sweep vs
+per-session network_view::evaluate), and applies the soft
+perf-regression gate: fail when the serial 1x ns/hour regresses more than
+10% over the committed baseline (bench/campaign_baseline.json).
 
 Usage: check_bench_campaign.py BENCH_campaign.json campaign_baseline.json
 """
@@ -29,19 +30,13 @@ def main():
     with open(sys.argv[2]) as f:
         baseline = json.load(f)
 
-    # 1. The fleet-scale axis ran: both 10x whole-hour configurations
-    #    (legacy-uncached baseline and batched-cached fast path).
+    # 1. The fleet-scale axis ran: the 10x whole-hour configuration.
     runs = bench.get("runs", [])
-    scaled = {(r["cached"], r["batch"]) for r in runs if r.get("fleet_scale") == 10}
-    for want, name in [
-        ((False, False), "legacy-uncached"),
-        ((True, True), "batched-cached"),
-    ]:
-        if want not in scaled:
-            fail(f"missing 10x fleet run ({name}) in 'runs'")
+    if not any(r.get("fleet_scale") == 10 for r in runs):
+        fail("missing 10x fleet whole-hour run in 'runs'")
 
     # 2. The link-hour evaluation pair ran at 10x and the recorded
-    #    speedup meets the refactor's floor.
+    #    speedup meets the batched evaluator's floor.
     link_runs = bench.get("link_eval_runs", [])
     link_scaled = {r["batch"] for r in link_runs if r.get("fleet_scale") == 10}
     if link_scaled != {True, False}:
@@ -54,11 +49,6 @@ def main():
             f"speedup_at_10x = {speedup:.2f} < {SPEEDUP_FLOOR} (batched "
             "link-hour evaluation vs per-session evaluate at 10x fleet)"
         )
-    hour_speedup = bench.get("hour_speedup_at_10x")
-    if hour_speedup is None:
-        fail("missing 'hour_speedup_at_10x'")
-    if hour_speedup <= 1.0:
-        fail(f"hour_speedup_at_10x = {hour_speedup:.2f} <= 1 (whole-hour regression)")
 
     # 3. Soft perf gate: 1x fleet must not regress > 10% vs the committed
     #    baseline.
@@ -79,7 +69,6 @@ def main():
 
     print(
         f"bench gate: OK: speedup_at_10x={speedup:.2f} (floor {SPEEDUP_FLOOR}), "
-        f"hour_speedup_at_10x={hour_speedup:.2f}, "
         f"ns_per_hour_1x={one_x:.0f} (baseline {base:.0f}, limit {limit:.0f})"
     )
 
