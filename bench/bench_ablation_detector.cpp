@@ -79,7 +79,7 @@ int main() {
         if (gt == nullptr) continue;
         // Evaluate the ACF detector's labels against ground truth.
         std::unordered_map<std::int64_t, bool> truth;
-        for (const ts_point& p : gt->points()) {
+        for (const ts_point p : gt->points()) {
           truth[p.at.hours_since_epoch()] = p.value > 0.5;
         }
         detector_validation v;
@@ -110,7 +110,7 @@ int main() {
         const ts_series* gt = platform.store().find("gt_episode", tags);
         if (gt == nullptr) continue;
         std::unordered_map<std::int64_t, bool> truth;
-        for (const ts_point& p : gt->points()) {
+        for (const ts_point p : gt->points()) {
           truth[p.at.hours_since_epoch()] = p.value > 0.5;
         }
         detector_validation v;
@@ -144,11 +144,11 @@ int main() {
         const hmm_detection det = hmm_detector(*data.series[i], data.tz[i]);
         if (det.usable) ++usable;
         std::unordered_map<std::int64_t, bool> truth;
-        for (const ts_point& p : gt->points()) {
+        for (const ts_point p : gt->points()) {
           truth[p.at.hours_since_epoch()] = p.value > 0.5;
         }
         detector_validation v;
-        const auto& points = data.series[i]->points();
+        const ts_point_view points = data.series[i]->points();
         for (std::size_t k = 0;
              k < points.size() && k < det.congested.size(); ++k) {
           const auto it = truth.find(points[k].at.hours_since_epoch());

@@ -29,7 +29,7 @@ struct totals {
 void score(const ts_series& measured, const ts_series& gt,
            timezone_offset tz, totals& t) {
   std::unordered_map<std::int64_t, bool> truth;
-  for (const ts_point& p : gt.points()) {
+  for (const ts_point p : gt.points()) {
     truth[p.at.hours_since_epoch()] = p.value > 0.5;
   }
   for (const hour_label& l : intraday_labels(measured, tz, 0.5, 4)) {
@@ -86,7 +86,7 @@ int main() {
 
     // B. the same series thinned to every 6th hour.
     ts_series thinned("download_mbps", {});
-    const auto& points = data.series[i]->points();
+    const ts_point_view points = data.series[i]->points();
     for (std::size_t k = 0; k < points.size(); k += 6) {
       thinned.append(points[k].at, points[k].value);
     }
@@ -99,7 +99,7 @@ int main() {
     const route_path path =
         platform.planner().to_cloud(server_ep, vm_ep, service_tier::premium);
     ts_series probed("inband_mbps", {});
-    for (const ts_point& p : points) {
+    for (const ts_point p : points) {
       const inband_result probe =
           run_inband_probe(platform.view(), path, p.at, probe_cfg, r);
       probed.append(p.at, probe.available_estimate.value);

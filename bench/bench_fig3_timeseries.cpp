@@ -74,7 +74,7 @@ int main() {
     const std::int64_t day = l.at.local_day_index(cox_tz);
     if (day != best_day && day != best_day + 1) continue;
     double value = 0.0;
-    for (const ts_point& p : cox->points()) {
+    for (const ts_point p : cox->points()) {
       if (p.at == l.at) value = p.value;
     }
     const unsigned lh = l.at.local_hour_of_day(cox_tz);

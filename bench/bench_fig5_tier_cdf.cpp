@@ -125,7 +125,7 @@ int main() {
     const ts_series* loss = platform.store().find("download_loss", tags);
     double avg_loss = 0.0;
     if (loss != nullptr && loss->size() > 0) {
-      for (const ts_point& p : loss->points()) avg_loss += p.value;
+      for (const double v : loss->values()) avg_loss += v;
       avg_loss /= static_cast<double>(loss->size());
     }
     table.add_row({server.name, to_string(chosen.cls),
@@ -147,7 +147,7 @@ int main() {
     const ts_series* loss = platform.store().find("download_loss", tags);
     if (loss == nullptr || loss->size() == 0) continue;
     double avg = 0.0;
-    for (const ts_point& p : loss->points()) avg += p.value;
+    for (const double v : loss->values()) avg += v;
     if (avg / static_cast<double>(loss->size()) > 0.10) ++lossy_targets;
   }
   std::printf("\nservers with premium avg loss >10%%: %zu (paper: 8)\n",

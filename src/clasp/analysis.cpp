@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <unordered_map>
 
 #include "util/error.hpp"
@@ -13,25 +14,21 @@ namespace clasp {
 namespace {
 
 // Visit a series' points grouped by local day. The store enforces
-// time-ordered appends, so each day is one contiguous run of the point
-// array, ending at the first stamp at or past the next local midnight —
-// no map, no per-point day computation, same visit order as sorting by
-// day. `fn` receives (local_day, begin, end) with [begin, end) the day's
-// points.
+// time-ordered appends, so each day is one contiguous stretch of the
+// series, cut off at the next local midnight: no map and no per-point
+// day computation, same visit order as sorting by day. `fn` receives
+// (local_day, points), where points.values() is the day's contiguous
+// value column and points.front().at its first hour.
 template <typename Fn>
 void for_each_local_day(const ts_series& series, timezone_offset tz,
                         Fn&& fn) {
-  const auto& points = series.points();
-  const ts_point* const first = points.data();
-  const ts_point* const last = first + points.size();
-  const ts_point* run = first;
-  while (run != last) {
-    const std::int64_t day = run->at.local_day_index(tz);
-    const std::int64_t day_end = (day + 1) * 24 - tz.hours_east_of_utc;
-    const ts_point* next = run + 1;
-    while (next != last && next->at.hours_since_epoch() < day_end) ++next;
-    fn(day, run, next);
-    run = next;
+  ts_point_view rest = series.points();
+  while (!rest.empty()) {
+    const std::int64_t day = rest.front().at.local_day_index(tz);
+    const hour_stamp next_midnight{(day + 1) * 24 - tz.hours_east_of_utc};
+    const auto [points, after] = rest.split(next_midnight);
+    fn(day, points);
+    rest = after;
   }
 }
 
@@ -41,18 +38,18 @@ std::vector<day_variability> daily_variability(const ts_series& series,
                                                timezone_offset tz,
                                                std::size_t min_samples) {
   std::vector<day_variability> out;
-  for_each_local_day(series, tz, [&](std::int64_t day, const ts_point* begin,
-                                     const ts_point* end) {
-    const std::size_t n = static_cast<std::size_t>(end - begin);
-    if (n < min_samples) return;
+  for_each_local_day(series, tz, [&](std::int64_t day,
+                                     const ts_point_view& points) {
+    const std::span<const double> values = points.values();
+    if (values.size() < min_samples) return;
     day_variability dv;
     dv.local_day = day;
-    dv.samples = n;
-    dv.t_max = begin->value;
-    dv.t_min = begin->value;
-    for (const ts_point* p = begin; p != end; ++p) {
-      dv.t_max = std::max(dv.t_max, p->value);
-      dv.t_min = std::min(dv.t_min, p->value);
+    dv.samples = values.size();
+    dv.t_max = values.front();
+    dv.t_min = values.front();
+    for (const double v : values) {
+      dv.t_max = std::max(dv.t_max, v);
+      dv.t_min = std::min(dv.t_min, v);
     }
     dv.v = dv.t_max > 0.0 ? (dv.t_max - dv.t_min) / dv.t_max : 0.0;
     out.push_back(dv);
@@ -65,17 +62,16 @@ std::vector<hour_label> intraday_labels(const ts_series& series,
                                         std::size_t min_samples) {
   std::vector<hour_label> out;
   out.reserve(series.size());
-  for_each_local_day(series, tz, [&](std::int64_t, const ts_point* begin,
-                                     const ts_point* end) {
-    if (static_cast<std::size_t>(end - begin) < min_samples) return;
-    double t_max = begin->value;
-    for (const ts_point* p = begin; p != end; ++p) {
-      t_max = std::max(t_max, p->value);
-    }
-    for (const ts_point* p = begin; p != end; ++p) {
+  for_each_local_day(series, tz, [&](std::int64_t,
+                                     const ts_point_view& points) {
+    const std::span<const double> values = points.values();
+    if (values.size() < min_samples) return;
+    double t_max = values.front();
+    for (const double v : values) t_max = std::max(t_max, v);
+    for (const ts_point p : points) {
       hour_label label;
-      label.at = p->at;
-      label.v_h = t_max > 0.0 ? (t_max - p->value) / t_max : 0.0;
+      label.at = p.at;
+      label.v_h = t_max > 0.0 ? (t_max - p.value) / t_max : 0.0;
       label.congested = label.v_h > threshold;
       out.push_back(label);
     }
@@ -127,22 +123,23 @@ threshold_sweep sweep_thresholds(const std::vector<const ts_series*>& series,
   for (std::size_t si = 0; si < series.size(); ++si) {
     for_each_local_day(
         *series[si], tz_of[si],
-        [&](std::int64_t, const ts_point* begin, const ts_point* end) {
-          if (static_cast<std::size_t>(end - begin) < kMinSamples) return;
-          double t_max = begin->value;
-          double t_min = begin->value;
-          for (const ts_point* p = begin; p != end; ++p) {
-            t_max = std::max(t_max, p->value);
-            t_min = std::min(t_min, p->value);
+        [&](std::int64_t, const ts_point_view& points) {
+          const std::span<const double> values = points.values();
+          if (values.size() < kMinSamples) return;
+          double t_max = values.front();
+          double t_min = values.front();
+          for (const double v : values) {
+            t_max = std::max(t_max, v);
+            t_min = std::min(t_min, v);
           }
           ++day_buckets[bucket_of(t_max > 0.0 ? (t_max - t_min) / t_max
                                               : 0.0)];
-          for (const ts_point* p = begin; p != end; ++p) {
-            ++hour_buckets[bucket_of(
-                t_max > 0.0 ? (t_max - p->value) / t_max : 0.0)];
+          for (const double v : values) {
+            ++hour_buckets[bucket_of(t_max > 0.0 ? (t_max - v) / t_max
+                                                 : 0.0)];
           }
           ++days;
-          hours += static_cast<std::size_t>(end - begin);
+          hours += values.size();
         });
   }
 
@@ -218,18 +215,17 @@ std::vector<hour_label> latency_inflation_labels(const ts_series& latency,
                                                  std::size_t min_samples) {
   std::vector<hour_label> out;
   out.reserve(latency.size());
-  for_each_local_day(latency, tz, [&](std::int64_t, const ts_point* begin,
-                                      const ts_point* end) {
-    if (static_cast<std::size_t>(end - begin) < min_samples) return;
-    double l_min = begin->value;
-    for (const ts_point* p = begin; p != end; ++p) {
-      l_min = std::min(l_min, p->value);
-    }
+  for_each_local_day(latency, tz, [&](std::int64_t,
+                                      const ts_point_view& points) {
+    const std::span<const double> values = points.values();
+    if (values.size() < min_samples) return;
+    double l_min = values.front();
+    for (const double v : values) l_min = std::min(l_min, v);
     if (l_min <= 0.0) return;
-    for (const ts_point* p = begin; p != end; ++p) {
+    for (const ts_point p : points) {
       hour_label label;
-      label.at = p->at;
-      label.v_h = (p->value - l_min) / l_min;  // latency inflation ratio
+      label.at = p.at;
+      label.v_h = (p.value - l_min) / l_min;  // latency inflation ratio
       label.congested = label.v_h > threshold;
       out.push_back(label);
     }
@@ -276,7 +272,7 @@ ts_series downsample(const ts_series& series, std::int64_t bucket_hours,
     out.append(hour_stamp{bucket_start}, value);
     count = 0;
   };
-  for (const ts_point& p : series.points()) {
+  for (const ts_point p : series.points()) {
     const std::int64_t start =
         p.at.hours_since_epoch() / bucket_hours * bucket_hours;
     if (count > 0 && start != bucket_start) flush();
@@ -302,7 +298,7 @@ detector_validation validate_detector(const ts_series& download,
                                       timezone_offset tz, double threshold) {
   // Index ground truth by hour.
   std::unordered_map<std::int64_t, bool> gt;
-  for (const ts_point& p : ground_truth.points()) {
+  for (const ts_point p : ground_truth.points()) {
     gt[p.at.hours_since_epoch()] = p.value > 0.5;
   }
   detector_validation v;
@@ -324,10 +320,7 @@ std::vector<hour_label> acf_detector_labels(const ts_series& series,
                                             double amplitude_threshold) {
   // Gate on diurnal structure: strong 24h autocorrelation of the
   // throughput signal indicates a repeating daily pattern.
-  std::vector<double> values;
-  values.reserve(series.size());
-  for (const ts_point& p : series.points()) values.push_back(p.value);
-  const double acf24 = autocorrelation(values, 24);
+  const double acf24 = autocorrelation(series.values(), 24);
 
   std::vector<hour_label> labels =
       intraday_labels(series, tz, amplitude_threshold);
@@ -371,10 +364,10 @@ asymmetry_summary classify_asymmetry(const ts_series& download,
     throw invalid_argument_error("classify_asymmetry: high_loss <= low_loss");
   }
   std::unordered_map<std::int64_t, double> dl_loss, ul_loss;
-  for (const ts_point& p : download_loss.points()) {
+  for (const ts_point p : download_loss.points()) {
     dl_loss[p.at.hours_since_epoch()] = p.value;
   }
-  for (const ts_point& p : upload_loss.points()) {
+  for (const ts_point p : upload_loss.points()) {
     ul_loss[p.at.hours_since_epoch()] = p.value;
   }
 
@@ -402,10 +395,8 @@ asymmetry_summary classify_asymmetry(const ts_series& download,
 
 double series_completeness(const ts_series& series, hour_range window) {
   if (!(window.begin_at < window.end_at)) return 0.0;
-  std::size_t in_window = 0;
-  for (const ts_point& p : series.points()) {
-    if (window.begin_at <= p.at && p.at < window.end_at) ++in_window;
-  }
+  const std::size_t in_window =
+      series.range(window.begin_at, window.end_at).size();
   return static_cast<double>(in_window) /
          static_cast<double>(window.count());
 }
@@ -427,11 +418,11 @@ std::vector<std::size_t> filter_low_completeness(
 std::vector<double> relative_differences(const ts_series& premium,
                                          const ts_series& standard) {
   std::unordered_map<std::int64_t, double> std_by_hour;
-  for (const ts_point& p : standard.points()) {
+  for (const ts_point p : standard.points()) {
     std_by_hour[p.at.hours_since_epoch()] = p.value;
   }
   std::vector<double> out;
-  for (const ts_point& p : premium.points()) {
+  for (const ts_point p : premium.points()) {
     const auto it = std_by_hour.find(p.at.hours_since_epoch());
     if (it == std_by_hour.end() || it->second == 0.0) continue;
     out.push_back((p.value - it->second) / it->second);
@@ -447,11 +438,11 @@ std::vector<monthly_performance> monthly_best_performance(
     std::vector<double> latencies;
   };
   std::map<std::pair<int, unsigned>, bucket> months;
-  for (const ts_point& p : download.points()) {
+  for (const ts_point p : download.points()) {
     const civil_date d = p.at.utc_date();
     months[{d.year, d.month}].downloads.push_back(p.value);
   }
-  for (const ts_point& p : latency.points()) {
+  for (const ts_point p : latency.points()) {
     const civil_date d = p.at.utc_date();
     months[{d.year, d.month}].latencies.push_back(p.value);
   }

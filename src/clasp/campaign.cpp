@@ -155,6 +155,7 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
       status_refs_.push_back(store_->open_series("test_status", tags));
     }
   }
+  reserve_series();
   // Round-robin assignment in ascending session order makes the CSR
   // build a closed form: vms_[v]'s k-th session is v + k * vm_count.
   const std::size_t vm_count = vms_.size();
@@ -198,6 +199,19 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
       << " VMs for " << sessions_.size() << " servers (" << workers()
       << " replay workers)";
   return vms_.size();
+}
+
+void campaign_runner::reserve_series() {
+  const std::int64_t window_hours = config_.window.count();
+  const std::size_t hours =
+      window_hours > 0 ? static_cast<std::size_t>(window_hours) : 0;
+  for (const session_series& refs : series_refs_) {
+    for (const series_ref ref : {refs.download, refs.upload, refs.latency,
+                                 refs.download_loss, refs.upload_loss,
+                                 refs.gt_episode}) {
+      store_->reserve(ref, hours);
+    }
+  }
 }
 
 bool campaign_runner::run(const hour_step& step) {

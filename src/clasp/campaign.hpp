@@ -430,6 +430,10 @@ class campaign_runner {
   // obs is enabled.
   void publish_hour_metrics(double hour_seconds);
   void emit_heartbeat() const;
+  // Sizes each session's six measurement series for the whole window, so
+  // the store's value columns grow without doubling slack. test_status
+  // is left to grow: it only exists under fault injection.
+  void reserve_series();
 
   // Durability internals (checkpoint.cpp).
   void save_state(binary_writer& out) const;

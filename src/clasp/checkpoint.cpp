@@ -63,6 +63,26 @@ vm_metadata_sample get_sample(binary_reader& in) {
   return s;
 }
 
+// Whether `attempts` slots can have produced `outcome` in an hour of
+// `per_hour` test slots: commit_vm_hour adds attempts - 1 retries for
+// the two outcomes that ran a test, so those must have run at least once.
+bool attempts_fit(test_outcome outcome, unsigned attempts,
+                  unsigned per_hour) {
+  switch (outcome) {
+    case test_outcome::ok:
+      return attempts == 1;
+    case test_outcome::ok_after_retry:
+      return attempts >= 2 && attempts <= per_hour;
+    case test_outcome::failed:
+      return attempts >= 1 && attempts <= per_hour;
+    case test_outcome::server_withdrawn:
+    case test_outcome::vm_down:
+    case test_outcome::skipped_budget:
+      return attempts == 0;
+  }
+  return false;
+}
+
 }  // namespace
 
 void set_checkpoint_write_failures_for_testing(int count) {
@@ -237,8 +257,9 @@ void campaign_runner::load_state(binary_reader& in) {
     throw state_error("checkpoint: VM count mismatch (someta)");
   }
   for (someta_recorder& rec : someta_) {
-    std::vector<vm_metadata_sample> samples(
-        static_cast<std::size_t>(in.varint()));
+    // svarint + 3 f64 + bool per sample, so a corrupt count is refused
+    // before it sizes anything.
+    std::vector<vm_metadata_sample> samples(in.count(26));
     for (vm_metadata_sample& s : samples) s = get_sample(in);
     rec.restore_samples(std::move(samples));
   }
@@ -350,6 +371,9 @@ std::size_t campaign_runner::decode_wal_record(std::string_view payload,
     o.session = static_cast<std::uint32_t>(session);
     o.outcome = static_cast<test_outcome>(outcome);
     o.attempts = in.u8();
+    if (!attempts_fit(o.outcome, o.attempts, config_.tests_per_vm_hour)) {
+      bad("carries an attempt count its outcome rules out");
+    }
     out.outcomes.push_back(o);
   }
   const std::size_t n_vm_hours = in.count(1);
@@ -493,6 +517,7 @@ bool campaign_runner::resume(const std::string& dir) {
         "campaign, seed, window or fault config)");
   }
   store_->restore_from((fs::path(*current) / "tsdb.snap").string());
+  reserve_series();
   const std::string state = read_crc_file(fs::path(*current) / "state.bin");
   binary_reader in(state);
   load_state(in);

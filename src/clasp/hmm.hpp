@@ -55,14 +55,14 @@ std::vector<bool> viterbi_decode(const hmm_model& model,
 
 // Full detector over a throughput series: computes the per-hour deficit
 // V_H(s,t) (normalized against the local-day maximum, as §3.3), fits the
-// HMM, and returns per-point congestion labels aligned with the series'
-// points. The fit is only trusted ("usable") when the congested state is
+// HMM, and returns one congestion label per point of the series, in its
+// time order. The fit is only trusted ("usable") when the congested state is
 // both well separated (mean gap >= `min_separation`) and genuinely deep
 // (mean deficit >= `min_congested_mean`) — otherwise the second state is
 // just the ordinary diurnal dip and the series is treated as uncongested.
 struct hmm_detection {
   hmm_model model;
-  std::vector<bool> congested;  // aligned with series.points()
+  std::vector<bool> congested;  // label i is the series' point i
   bool usable{false};           // states separated enough to trust
 };
 

@@ -22,29 +22,28 @@ std::optional<std::string> ts_series::tag(const std::string& key) const {
   return it->second;
 }
 
-void ts_series::throw_out_of_order() {
-  throw invalid_argument_error("ts_series: out-of-order append");
+void ts_series::append_new_run(hour_stamp at, double value) {
+  if (!values_.empty() && at < last_) {
+    throw invalid_argument_error("ts_series: out-of-order append");
+  }
+  runs_.push_back({at, values_.size()});
+  try {
+    values_.push_back(value);
+  } catch (...) {
+    runs_.pop_back();  // no run may end up without a point
+    throw;
+  }
+  last_ = at;
 }
 
-std::span<const ts_point> ts_series::range(hour_stamp begin,
-                                           hour_stamp end) const {
-  const auto lo = std::lower_bound(
-      points_.begin(), points_.end(), begin,
-      [](const ts_point& p, hour_stamp h) { return p.at < h; });
-  const auto hi = std::lower_bound(
-      lo, points_.end(), end,
-      [](const ts_point& p, hour_stamp h) { return p.at < h; });
-  // points_.data() stays valid (possibly null) for empty vectors, where
-  // &*points_.begin() would dereference the end iterator.
-  return {points_.data() + (lo - points_.begin()),
-          static_cast<std::size_t>(hi - lo)};
+ts_point_view ts_series::range(hour_stamp begin, hour_stamp end) const {
+  return points().split(begin).second.split(end).first;
 }
 
 std::vector<double> ts_series::values_in(hour_stamp begin,
                                          hour_stamp end) const {
-  std::vector<double> out;
-  for (const ts_point& p : range(begin, end)) out.push_back(p.value);
-  return out;
+  const std::span<const double> v = range(begin, end).values();
+  return {v.begin(), v.end()};
 }
 
 bool tag_filter::matches(const tag_set& tags) const {
@@ -83,6 +82,11 @@ series_ref tsdb::open_series(const std::string& metric, const tag_set& tags) {
 }
 
 void tsdb::throw_bad_ref() { throw not_found_error("tsdb: bad series ref"); }
+
+void tsdb::reserve(series_ref ref, std::size_t n) {
+  if (ref >= series_.size()) throw_bad_ref();
+  series_[ref].reserve(n);
+}
 
 const ts_series& tsdb::series_at(series_ref ref) const {
   if (ref >= series_.size()) throw not_found_error("tsdb: bad series ref");
@@ -154,7 +158,7 @@ void tsdb::export_csv(std::ostream& os, const std::string& metric,
   }
   os << '\n';
   for (const ts_series* s : matched) {
-    for (const ts_point& p : s->points()) {
+    for (const ts_point p : s->points()) {
       os << p.at.hours_since_epoch() << ',' << p.value;
       for (const std::string& k : keys) {
         os << ',';
@@ -174,7 +178,20 @@ constexpr std::uint32_t kSnapshotVersion = 1;
 
 void tsdb::snapshot_to(std::ostream& os) const {
   const auto begin = std::chrono::steady_clock::now();
+  // Series are encoded into a bounded buffer that is written out, and
+  // folded into the running CRC, whenever it passes kChunk bytes: the
+  // bytes are those of one payload string, without holding it.
+  constexpr std::size_t kChunk = std::size_t{1} << 20;
   binary_writer out;
+  std::uint32_t crc = 0;
+  std::uint64_t total = 0;
+  const auto flush = [&] {
+    const std::string& bytes = out.bytes();
+    crc = crc32(bytes, crc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    total += bytes.size();
+    out.clear();
+  };
   out.u32(kSnapshotMagic);
   out.u32(kSnapshotVersion);
   out.varint(series_.size());
@@ -185,26 +202,26 @@ void tsdb::snapshot_to(std::ostream& os) const {
       out.str(k);
       out.str(v);
     }
-    out.varint(s.points().size());
+    out.varint(s.size());
     std::int64_t prev_hour = 0;
-    for (const ts_point& p : s.points()) {
+    for (const ts_point p : s.points()) {
       out.svarint(p.at.hours_since_epoch() - prev_hour);
       prev_hour = p.at.hours_since_epoch();
       out.f64(p.value);
+      if (out.bytes().size() >= kChunk) flush();
     }
+    if (out.bytes().size() >= kChunk) flush();
   }
-  const std::string payload = out.take();
+  flush();
   binary_writer trailer;
-  trailer.u32(crc32(payload));
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  os.write(trailer.bytes().data(),
-           static_cast<std::streamsize>(trailer.bytes().size()));
+  trailer.u32(crc);
+  os.write(trailer.bytes().data(), 4);
+  total += 4;
   if (!os) throw state_error("tsdb: snapshot write failed");
   if (obs::enabled()) {
     obs::metrics_registry& reg = obs::metrics_registry::instance();
     reg.get_counter(obs::family::kTsdbSnapshots).add(1);
-    reg.get_counter(obs::family::kTsdbSnapshotBytes)
-        .add(payload.size() + trailer.bytes().size());
+    reg.get_counter(obs::family::kTsdbSnapshotBytes).add(total);
     reg.get_histogram(obs::family::kTsdbSnapshotSeconds,
                       obs::duration_buckets())
         .observe(std::chrono::duration<double>(
@@ -257,9 +274,12 @@ void tsdb::restore_from(std::istream& is) {
       tags.emplace(std::move(key), in.str());
     }
     ts_series s(metric, tags);
-    const std::uint64_t n_points = in.varint();
+    // Each point is at least a 1-byte hour delta and an f64, so a hostile
+    // count is refused here before it can size the column.
+    const std::size_t n_points = in.count(9);
+    s.reserve(n_points);
     std::int64_t prev_hour = 0;
-    for (std::uint64_t p = 0; p < n_points; ++p) {
+    for (std::size_t p = 0; p < n_points; ++p) {
       prev_hour += in.svarint();
       s.append(hour_stamp{prev_hour}, in.f64());
     }

@@ -3,18 +3,29 @@
 // The campaign indexes every measurement as (metric, tags, hour, value).
 // Series are identified by metric name plus a sorted tag set; queries
 // filter by metric and tag equality and can group results by tag or
-// aggregate over time ranges. The store is append-mostly and keeps each
-// series as a flat (hour, value) vector sorted by insertion time —
-// campaigns append in time order, so range scans are binary searches.
+// aggregate over time ranges. The store is append-only in time order.
+//
+// Each series is columnar: one contiguous column of 8-byte values plus
+// a short list of hour runs. A run is (first hour, first index): point i
+// of the run sits at first + (i - index), up to the next run's index. A
+// campaign series gets one point per hour, so it is a single run and
+// costs 8 bytes per point; a gap or an equal-hour append starts a new
+// run. Range scans walk the runs, not the points. The layout stays
+// private: readers see points through ts_point_view, whose iterator
+// yields (hour, value) pairs by value, or scan values() directly.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/sim_time.hpp"
@@ -29,6 +40,121 @@ struct ts_point {
   double value{0.0};
 };
 
+// Consecutive hours from `first`, starting at point `index` (see above).
+struct hour_run {
+  hour_stamp first;
+  std::size_t index{0};
+};
+
+// Read-only view of points [begin, end) of one series. Valid until the
+// series is next appended to. Indexing and front/back find the point's
+// run by binary search; iteration walks the runs in step.
+class ts_point_view {
+ public:
+  class iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = ts_point;
+    using difference_type = std::ptrdiff_t;
+    using reference = ts_point;
+
+    iterator() = default;
+
+    ts_point operator*() const {
+      return {run_->first + static_cast<std::int64_t>(i_ - run_->index),
+              values_[i_]};
+    }
+    iterator& operator++() {
+      ++i_;
+      if (run_ + 1 != runs_end_ && run_[1].index == i_) ++run_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const iterator& other) const { return i_ == other.i_; }
+
+   private:
+    friend class ts_point_view;
+    iterator(const double* values, std::size_t i, const hour_run* run,
+             const hour_run* runs_end)
+        : values_(values), i_(i), run_(run), runs_end_(runs_end) {}
+
+    const double* values_{nullptr};
+    std::size_t i_{0};
+    const hour_run* run_{nullptr};
+    const hour_run* runs_end_{nullptr};
+  };
+
+  ts_point_view() = default;
+
+  std::size_t size() const { return end_ - begin_; }
+  bool empty() const { return begin_ == end_; }
+  ts_point operator[](std::size_t i) const {
+    const std::size_t idx = begin_ + i;
+    const hour_run* r = run_;
+    if (r + 1 != runs_end_ && r[1].index <= idx) {
+      r = std::upper_bound(r + 1, runs_end_, idx,
+                           [](std::size_t x, const hour_run& run) {
+                             return x < run.index;
+                           }) -
+          1;
+    }
+    return {r->first + static_cast<std::int64_t>(idx - r->index),
+            values_[idx]};
+  }
+  ts_point front() const { return (*this)[0]; }
+  ts_point back() const { return (*this)[size() - 1]; }
+  iterator begin() const { return {values_, begin_, run_, runs_end_}; }
+  iterator end() const { return {values_, end_, run_, runs_end_}; }
+  // The viewed values, contiguous, in time order.
+  std::span<const double> values() const {
+    return {values_ + begin_, size()};
+  }
+  // Splits the view at its first point at or after `at` into (the points
+  // before, the rest). Walks the runs forward from the view's first, so
+  // cutting a view into consecutive pieces is one pass over its runs.
+  // Inline: the analysis scans cut every series day by day through this.
+  std::pair<ts_point_view, ts_point_view> split(hour_stamp at) const {
+    std::size_t cut = end_;
+    const hour_run* r = run_;
+    for (; r != runs_end_ && r->index < end_; ++r) {
+      const std::size_t run_end =
+          r + 1 != runs_end_ ? std::min(r[1].index, end_) : end_;
+      const hour_stamp last =
+          r->first + static_cast<std::int64_t>(run_end - 1 - r->index);
+      if (!(last < at)) {
+        const std::size_t from =
+            r->first < at
+                ? r->index + static_cast<std::size_t>(at - r->first)
+                : r->index;
+        cut = std::max(begin_, from);
+        break;
+      }
+    }
+    if (r == runs_end_) r = run_;  // the rest is empty; any run will do
+    return {{values_, begin_, cut, run_, runs_end_},
+            {values_, cut, end_, r, runs_end_}};
+  }
+
+ private:
+  friend class ts_series;
+  // `run` must be the run holding point `begin` (any run when empty).
+  ts_point_view(const double* values, std::size_t begin, std::size_t end,
+                const hour_run* run, const hour_run* runs_end)
+      : values_(values), begin_(begin), end_(end), run_(run),
+        runs_end_(runs_end) {}
+
+  const double* values_{nullptr};
+  std::size_t begin_{0};
+  std::size_t end_{0};
+  const hour_run* run_{nullptr};
+  const hour_run* runs_end_{nullptr};
+};
+
 // A single series: metric + tags + points.
 class ts_series {
  public:
@@ -37,37 +163,57 @@ class ts_series {
 
   const std::string& metric() const { return metric_; }
   const tag_set& tags() const { return tags_; }
-  const std::vector<ts_point>& points() const { return points_; }
-  std::size_t size() const { return points_.size(); }
+  ts_point_view points() const {
+    return {values_.data(), 0, values_.size(), runs_.data(),
+            runs_.data() + runs_.size()};
+  }
+  // Every value in time order.
+  std::span<const double> values() const { return values_; }
+  std::size_t size() const { return values_.size(); }
 
   // Tag value or nullopt.
   std::optional<std::string> tag(const std::string& key) const;
 
-  // Inline: a campaign hour appends hundreds of points through this.
+  // Inline: a campaign hour appends hundreds of points through this. The
+  // next consecutive hour extends the open run and touches only this
+  // object and the values tail; anything else goes out of line.
   void append(hour_stamp at, double value) {
-    if (!points_.empty() && at < points_.back().at) throw_out_of_order();
-    points_.push_back({at, value});
+    if (values_.empty() || !(last_ < at) ||
+        at.hours_since_epoch() - 1 != last_.hours_since_epoch()) {
+      append_new_run(at, value);
+      return;
+    }
+    values_.push_back(value);
+    last_ = at;
   }
 
-  // Hint that append() is about to run: pulls the vector tail into cache.
+  // Capacity for `n` points in total, so appends up to it never move the
+  // column (nothing is written).
+  void reserve(std::size_t n) { values_.reserve(n); }
+
+  // Hint that append() is about to run: pulls the values tail into cache.
   // Purely advisory — correct (and cheap) on an empty series too.
   void prefetch_tail() const {
-    __builtin_prefetch(points_.data() + points_.size(), 1);
+    __builtin_prefetch(values_.data() + values_.size(), 1);
   }
 
   // Points with begin <= at < end. Requires time-ordered appends (the
   // store enforces this).
-  std::span<const ts_point> range(hour_stamp begin, hour_stamp end) const;
+  ts_point_view range(hour_stamp begin, hour_stamp end) const;
 
   // All raw values in a range.
   std::vector<double> values_in(hour_stamp begin, hour_stamp end) const;
 
  private:
-  [[noreturn]] static void throw_out_of_order();
+  // append() for a point that opens a run. Throws on an out-of-order
+  // append, and leaves the series unchanged on any throw.
+  void append_new_run(hour_stamp at, double value);
 
   std::string metric_;
   tag_set tags_;
-  std::vector<ts_point> points_;
+  std::vector<double> values_;
+  std::vector<hour_run> runs_;  // back() is the open run
+  hour_stamp last_;             // hour of the last point (if any)
 };
 
 // Equality filter used by queries; empty matches everything.
@@ -101,6 +247,12 @@ class tsdb {
     if (ref >= series_.size()) throw_bad_ref();
     series_[ref].append(at, value);
   }
+
+  // Size a series' value column for `n` points in total (see
+  // ts_series::reserve). Campaigns reserve their window at deploy, so a
+  // series grows without doubling slack. Throws not_found_error on a bad
+  // ref.
+  void reserve(series_ref ref, std::size_t n);
 
   // Advisory cache warm-up for a ref an imminent write() will hit. The
   // commit loop appends to thousands of distinct series per hour, each
@@ -137,10 +289,13 @@ class tsdb {
   // Binary full snapshot: magic + version, every series in insertion
   // order (so restored series_refs equal the originals), strings carried
   // length-prefixed (non-ASCII tag values round-trip exactly), values as
-  // IEEE-754 bit patterns, the whole payload CRC32-framed. restore_from
-  // replaces the store's contents and throws invalid_argument_error on a
-  // corrupt, truncated or version-mismatched snapshot. The path overloads
-  // throw not_found_error when the file cannot be opened.
+  // IEEE-754 bit patterns, the whole payload CRC32-framed. snapshot_to
+  // streams series by series through a bounded buffer under a running
+  // CRC, so a snapshot never holds the payload in memory. restore_from
+  // replaces the store's contents, sizes each value column exactly, and
+  // throws invalid_argument_error on a corrupt, truncated or
+  // version-mismatched snapshot. The path overloads throw
+  // not_found_error when the file cannot be opened.
   void snapshot_to(std::ostream& os) const;
   void snapshot_to(const std::string& path) const;
   void restore_from(std::istream& is);

@@ -38,9 +38,9 @@ crc_tables make_crc_tables() {
 
 }  // namespace
 
-std::uint32_t crc32(std::string_view bytes) {
+std::uint32_t crc32(std::string_view bytes, std::uint32_t crc) {
   static const crc_tables kT = make_crc_tables();
-  std::uint32_t c = 0xFFFFFFFFu;
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
   const char* p = bytes.data();
   std::size_t n = bytes.size();
   if constexpr (std::endian::native == std::endian::little) {

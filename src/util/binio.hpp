@@ -15,8 +15,10 @@
 namespace clasp {
 
 // CRC-32 (IEEE 802.3 polynomial, reflected), the framing checksum used by
-// the TSDB snapshot, the write-ahead log and the checkpoint files.
-std::uint32_t crc32(std::string_view bytes);
+// the TSDB snapshot, the write-ahead log and the checkpoint files. Pass
+// the CRC of the bytes before to continue it: crc32(b, crc32(a)) equals
+// crc32 of a followed by b, so a payload can be checksummed in chunks.
+std::uint32_t crc32(std::string_view bytes, std::uint32_t crc = 0);
 
 // Append-only little-endian encoder over a growable byte buffer.
 class binary_writer {
@@ -37,6 +39,8 @@ class binary_writer {
 
   const std::string& bytes() const { return buf_; }
   std::string take() { return std::move(buf_); }
+  // Drops the bytes but keeps the capacity, for chunked encoding.
+  void clear() { buf_.clear(); }
 
  private:
   std::string buf_;

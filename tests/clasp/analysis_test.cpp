@@ -138,7 +138,7 @@ threshold_sweep sorted_cdf_sweep(const std::vector<const ts_series*>& series,
   std::vector<double> hour_vs;
   for (std::size_t si = 0; si < series.size(); ++si) {
     std::map<std::int64_t, std::vector<double>> by_day;
-    for (const ts_point& p : series[si]->points()) {
+    for (const ts_point p : series[si]->points()) {
       by_day[p.at.local_day_index(tz[si])].push_back(p.value);
     }
     for (const auto& [day, values] : by_day) {

@@ -74,7 +74,7 @@ TEST(AsymmetryTest, NoCongestionNoHours) {
   triple t = make_triple(5, 0.3, 0.001);
   // Flatten the throughput: nothing crosses V_H = 0.5.
   ts_series flat("download_mbps", {});
-  for (const ts_point& p : t.download.points()) flat.append(p.at, 500.0);
+  for (const ts_point p : t.download.points()) flat.append(p.at, 500.0);
   const asymmetry_summary s =
       classify_asymmetry(flat, t.dl_loss, t.ul_loss, kUtc, 0.5);
   EXPECT_EQ(s.congested_hours, 0u);

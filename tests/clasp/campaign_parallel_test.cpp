@@ -105,7 +105,7 @@ struct campaign_snapshot {
   struct series_dump {
     std::string metric;
     tag_set tags;
-    std::vector<ts_point> points;
+    std::vector<ts_point> points;  // a copy of the series' points
   };
   std::vector<series_dump> series;
   cost_report costs;
@@ -122,7 +122,9 @@ campaign_snapshot snapshot_of(clasp_platform& p, campaign_runner& c) {
   campaign_snapshot snap;
   for (const char* metric : kMetrics) {
     for (const ts_series* s : p.store().query(metric)) {
-      snap.series.push_back({s->metric(), s->tags(), s->points()});
+      const ts_point_view points = s->points();
+      snap.series.push_back(
+          {s->metric(), s->tags(), {points.begin(), points.end()}});
     }
   }
   snap.costs = p.cloud().costs();
@@ -455,7 +457,9 @@ two_campaign_result replay_two_campaigns(unsigned workers,
     for (const char* metric : kMetrics) {
       for (const ts_series* s : p.store().query(metric)) {
         if (s->tag("region") == kTwoRegions[c]) {
-          r.series.push_back({s->metric(), s->tags(), s->points()});
+          const ts_point_view points = s->points();
+          r.series.push_back(
+              {s->metric(), s->tags(), {points.begin(), points.end()}});
         }
       }
     }

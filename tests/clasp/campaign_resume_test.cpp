@@ -527,10 +527,50 @@ TEST(CampaignResume, MalformedWalRecordIsTypedError) {
     w.varint(std::uint64_t{1} << 60);
     bad.push_back(w.take());
   }
+  // Attempt counts the outcome cannot have: commit_vm_hour adds
+  // attempts - 1 retries, so a 0 would add 2^32 - 1 to the tally.
+  const unsigned per_hour = c.config().tests_per_vm_hour;
+  const std::pair<test_outcome, unsigned> bad_attempts[] = {
+      {test_outcome::ok, 0},
+      {test_outcome::ok, 2},
+      {test_outcome::ok_after_retry, 0},
+      {test_outcome::ok_after_retry, 1},
+      {test_outcome::ok_after_retry, per_hour + 1},
+      {test_outcome::failed, 0},
+      {test_outcome::failed, per_hour + 1},
+      {test_outcome::vm_down, 1},
+      {test_outcome::server_withdrawn, 1},
+      {test_outcome::skipped_budget, 1},
+  };
+  for (const auto& [outcome, attempts] : bad_attempts) {
+    campaign_runner::vm_hour_staging s = good;
+    s.outcomes.front().outcome = outcome;
+    s.outcomes.front().attempts = static_cast<std::uint8_t>(attempts);
+    bad.push_back(c.encode_wal_record(0, s));
+  }
   for (std::size_t i = 0; i < bad.size(); ++i) {
     campaign_runner::vm_hour_staging out;
     EXPECT_THROW(c.decode_wal_record(bad[i], out), invalid_argument_error)
         << "bad record " << i;
+  }
+  // The edges of each legal range still decode.
+  const std::pair<test_outcome, unsigned> good_attempts[] = {
+      {test_outcome::ok, 1},
+      {test_outcome::ok_after_retry, 2},
+      {test_outcome::ok_after_retry, per_hour},
+      {test_outcome::failed, 1},
+      {test_outcome::failed, per_hour},
+      {test_outcome::vm_down, 0},
+      {test_outcome::server_withdrawn, 0},
+      {test_outcome::skipped_budget, 0},
+  };
+  for (const auto& [outcome, attempts] : good_attempts) {
+    campaign_runner::vm_hour_staging s = good;
+    s.outcomes.front().outcome = outcome;
+    s.outcomes.front().attempts = static_cast<std::uint8_t>(attempts);
+    campaign_runner::vm_hour_staging out;
+    EXPECT_NO_THROW(c.decode_wal_record(c.encode_wal_record(0, s), out))
+        << to_string(outcome) << " with " << attempts << " attempts";
   }
 
   // The same record in a CRC-valid WAL frame: resume refuses it with the
@@ -543,6 +583,36 @@ TEST(CampaignResume, MalformedWalRecordIsTypedError) {
   clasp_platform q(tiny_config(1, "low", root.string()));
   campaign_runner& d = q.start_topology_campaign("us-west1", window());
   EXPECT_THROW(d.resume(d.config().checkpoint_dir), invalid_argument_error);
+  fs::remove_all(root);
+}
+
+TEST(CampaignResume, HostileSampleCountInStateIsTypedError) {
+  // A CRC-valid state.bin whose first someta recorder claims 2^60
+  // samples: load_state must refuse the count before sizing anything.
+  const fs::path root = test_dir();
+  const std::string dir = run_and_kill(root.string(), 1, "low", 25);
+  const auto current = current_checkpoint(dir);
+  ASSERT_TRUE(current.has_value());
+  const std::string state_path = *current + "/state.bin";
+  const std::string state = read_crc_file(state_path);
+  // Walk the prefix save_state writes ahead of the first sample count.
+  binary_reader in(state);
+  for (int i = 0; i < 3; ++i) in.varint();  // run, missed, upload failures
+  in.boolean();                             // storage billed
+  const std::uint64_t sessions = in.varint();
+  for (std::uint64_t i = 0; i < sessions * 6; ++i) in.varint();
+  ASSERT_GT(in.varint(), 0u);  // someta recorders
+  const std::size_t count_at = in.pos();
+  in.varint();
+  binary_writer w;
+  w.varint(std::uint64_t{1} << 60);
+  const std::string hostile =
+      state.substr(0, count_at) + w.bytes() + state.substr(in.pos());
+  write_crc_file(state_path, hostile);
+
+  clasp_platform p(tiny_config(1, "low", root.string()));
+  campaign_runner& c = p.start_topology_campaign("us-west1", window());
+  EXPECT_THROW(c.resume(c.config().checkpoint_dir), invalid_argument_error);
   fs::remove_all(root);
 }
 

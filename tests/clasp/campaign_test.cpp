@@ -117,7 +117,7 @@ TEST(CampaignTest, DownloadValuesArePlausible) {
   filter.required["campaign"] = "topology";
   filter.required["region"] = "us-east1";
   for (const ts_series* s : p.store().query("download_mbps", filter)) {
-    for (const ts_point& pt : s->points()) {
+    for (const ts_point pt : s->points()) {
       EXPECT_GT(pt.value, 0.0);
       EXPECT_LE(pt.value, 1100.0);
     }

@@ -123,7 +123,7 @@ TEST(HmmDetectorTest, FlagsCongestedSeries) {
   ASSERT_EQ(det.congested.size(), s.size());
   std::size_t flagged = 0, correct = 0, evening_hours = 0;
   for (std::size_t i = 0; i < s.size(); ++i) {
-    const ts_point& p = s.points()[i];
+    const ts_point p = s.points()[i];
     const unsigned h = p.at.utc_hour_of_day();
     const int d = static_cast<int>(p.at.utc_day_index() -
                                    s.points().front().at.utc_day_index());

@@ -55,8 +55,8 @@ TEST(DeterminismTest, CampaignMeasurementsIdentical) {
   ASSERT_EQ(series_a.series.size(), series_b.series.size());
   ASSERT_FALSE(series_a.series.empty());
   for (std::size_t i = 0; i < series_a.series.size(); ++i) {
-    const auto& pa = series_a.series[i]->points();
-    const auto& pb = series_b.series[i]->points();
+    const ts_point_view pa = series_a.series[i]->points();
+    const ts_point_view pb = series_b.series[i]->points();
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t j = 0; j < pa.size(); ++j) {
       EXPECT_EQ(pa[j].at, pb[j].at);

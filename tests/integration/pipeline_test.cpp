@@ -146,7 +146,7 @@ TEST(PipelineTest, GroundTruthEpisodesPresentInWindow) {
                                       "gt_episode");
   std::size_t active = 0, total = 0;
   for (const ts_series* s : data.series) {
-    for (const ts_point& pt : s->points()) {
+    for (const ts_point pt : s->points()) {
       ++total;
       if (pt.value > 0.5) ++active;
     }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "util/error.hpp"
 
@@ -38,6 +39,23 @@ TEST(Crc32Test, SlicedPathMatchesBytewiseAcrossLengths) {
     }
     EXPECT_EQ(crc32(bytes), ref ^ 0xFFFFFFFFu) << "len=" << len;
   }
+}
+
+TEST(Crc32Test, ContinuesAcrossChunks) {
+  // Any split, including empty pieces and splits inside an 8-byte
+  // slice, continues to the one-shot CRC of the whole.
+  std::string bytes;
+  for (std::size_t i = 0; i < 100; ++i) {
+    bytes.push_back(static_cast<char>((i * 197 + 3) & 0xFF));
+  }
+  const std::uint32_t whole = crc32(bytes);
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const std::string_view all(bytes);
+    EXPECT_EQ(crc32(all.substr(cut), crc32(all.substr(0, cut))), whole)
+        << "cut=" << cut;
+  }
+  EXPECT_EQ(crc32("6789", crc32("12345")), 0xCBF43926u);
+  EXPECT_EQ(crc32("", crc32("a")), crc32("a"));
 }
 
 TEST(BinioTest, FixedWidthRoundTrip) {
