@@ -23,6 +23,8 @@
 #include "bench_support.hpp"
 #include "clasp/analysis.hpp"
 #include "netsim/faults.hpp"
+#include "obs/families.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 
@@ -127,11 +129,40 @@ struct checkpoint_overhead {
   double resume_seconds{0.0};  // resume at mid-window, run to the end
   bool output_identical{false};
   unsigned every_hours{24};
+  // clasp_checkpoint_bytes_written_total of a 7-day and a 14-day durable
+  // run: deterministic, so their ratio shows how publish bytes grow with
+  // the window (4 when every publish rewrites everything, 2 when they
+  // are linear).
+  std::uint64_t bytes_written_7d{0};
+  std::uint64_t bytes_written_14d{0};
 };
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+// Bytes the checkpoint publishes of one durable `days`-day run made
+// durable, read from the obs counter (which never touches replay state).
+std::uint64_t checkpoint_bytes_written(bool fast, int days,
+                                       const std::string& root) {
+  std::filesystem::remove_all(root);
+  platform_config cfg = sweep_config(fast, "low");
+  cfg.campaign_checkpoint_dir = root;
+  const hour_stamp t0 = hour_stamp::from_civil({2020, 5, 1}, 0);
+  obs::counter& bytes = obs::metrics_registry::instance().get_counter(
+      obs::family::kCheckpointBytesWritten);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t before = bytes.value();
+  {
+    clasp_platform platform(cfg);
+    platform.start_topology_campaign("us-west1", {t0, t0 + days * 24}).run();
+  }
+  const std::uint64_t written = bytes.value() - before;
+  obs::set_enabled(was_enabled);
+  std::filesystem::remove_all(root);
+  return written;
 }
 
 checkpoint_overhead run_checkpoint_overhead(bool fast,
@@ -217,6 +248,8 @@ checkpoint_overhead run_checkpoint_overhead(bool fast,
         result.output_identical && campaign.tests_run() == baseline_tests &&
         platform.cloud().costs().total() == baseline_cost;
   }
+  result.bytes_written_7d = checkpoint_bytes_written(fast, 7, root);
+  result.bytes_written_14d = checkpoint_bytes_written(fast, 14, root);
   std::filesystem::remove_all(root);
   return result;
 }
@@ -237,7 +270,9 @@ void write_json(const std::vector<sweep_point>& points, bool fast,
       << format_double(ckpt.deployed_overhead_pct, 6)
       << ", \"resume_seconds\": " << format_double(ckpt.resume_seconds, 4)
       << ", \"output_identical\": "
-      << (ckpt.output_identical ? "true" : "false") << "},\n"
+      << (ckpt.output_identical ? "true" : "false")
+      << ", \"bytes_written_7d\": " << ckpt.bytes_written_7d
+      << ", \"bytes_written_14d\": " << ckpt.bytes_written_14d << "},\n"
       << "  \"fault_sweep\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const sweep_point& p = points[i];
@@ -341,10 +376,13 @@ int main(int argc, char** argv) {
   const checkpoint_overhead ckpt = run_checkpoint_overhead(fast, window);
   std::printf("baseline %.3fs, durable(every=%u) %.3fs -> replay overhead "
               "%.2f%% (time-compressed); deployed overhead %.6f%%; "
-              "resume leg %.3fs; output identical: %s\n",
+              "resume leg %.3fs; output identical: %s\n"
+              "checkpoint bytes written: 7 days %llu, 14 days %llu\n",
               ckpt.baseline_seconds, ckpt.every_hours, ckpt.durable_seconds,
               ckpt.replay_overhead_pct, ckpt.deployed_overhead_pct,
-              ckpt.resume_seconds, ckpt.output_identical ? "yes" : "NO");
+              ckpt.resume_seconds, ckpt.output_identical ? "yes" : "NO",
+              static_cast<unsigned long long>(ckpt.bytes_written_7d),
+              static_cast<unsigned long long>(ckpt.bytes_written_14d));
 
   write_json(points, fast, window.count(), ckpt);
 

@@ -192,7 +192,8 @@ void register_core_families() {
         family::kWalFlushes, family::kTsdbSnapshots,
         family::kTsdbSnapshotBytes, family::kTsdbRestores,
         family::kCheckpointPublishes, family::kCheckpointGcRemoved,
-        family::kCheckpointResumes, family::kFaultsPreempts,
+        family::kCheckpointResumes, family::kCheckpointBytesWritten,
+        family::kCheckpointCompactions, family::kFaultsPreempts,
         family::kFaultsRedeploys, family::kFaultsWithdrawals,
         family::kFaultsVmDownHours, family::kFaultsSkippedTests,
         family::kSwarmCreditsSpent, family::kSwarmSubstitutions,
@@ -213,7 +214,8 @@ void register_core_families() {
         family::kCampaignSessions, family::kPoolWorkers, family::kPoolBatches,
         family::kPoolTasks, family::kPoolBusySeconds,
         family::kPoolLastBatchSize, family::kPoolUtilization,
-        family::kCheckpointLastHour, family::kFaultsPlannedWithdrawals,
+        family::kCheckpointLastHour, family::kCheckpointSealedSegments,
+        family::kFaultsPlannedWithdrawals,
         family::kFaultsPlannedOutages, family::kFaultsPlannedOutageHours,
         family::kFleetServers, family::kFleetVms, family::kSessionsTotal,
         family::kBatchGroupsPerHour, family::kSwarmProbes,

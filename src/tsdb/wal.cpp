@@ -46,19 +46,25 @@ wal_writer::wal_writer(const std::string& path, bool truncate)
 }
 
 void wal_writer::append(std::string_view payload) {
-  binary_writer header;
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(crc32(payload));
-  out_.write(header.bytes().data(),
-             static_cast<std::streamsize>(header.bytes().size()));
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!out_) throw state_error("wal: write failed on " + path_);
+  // The 8-byte header goes straight into the pending buffer, little-endian
+  // as binary_writer::u32 writes it, followed by the payload.
+  const auto put_u32 = [this](std::uint32_t v) {
+    const char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
+                       static_cast<char>(v >> 16),
+                       static_cast<char>(v >> 24)};
+    pending_.append(b, 4);
+  };
+  put_u32(static_cast<std::uint32_t>(payload.size()));
+  put_u32(crc32(payload));
+  pending_.append(payload);
   bytes_written_ += 8 + payload.size();
   wal_counters().appends->add(1);
   wal_counters().bytes->add(8 + payload.size());
 }
 
 void wal_writer::flush() {
+  out_.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
+  pending_.clear();
   out_.flush();
   if (!out_) throw state_error("wal: flush failed on " + path_);
   wal_counters().flushes->add(1);

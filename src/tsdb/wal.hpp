@@ -5,10 +5,11 @@
 //
 //   [u32 payload length][u32 crc32(payload)][payload bytes]
 //
-// (fixed-width little-endian header via binio). A crash can tear at most
-// the tail of the file; scan_wal walks records front to back, stops at
-// the first short or corrupt frame, and reports how many bytes are valid
-// so recovery can truncate the torn tail and trust everything before it.
+// (fixed-width little-endian header, as binio writes it). A crash can
+// tear at most the tail of the file; scan_wal walks records front to
+// back, stops at the first short or corrupt frame, and reports how many
+// bytes are valid so recovery can truncate the torn tail and trust
+// everything before it.
 //
 // Payloads are opaque to the framing. Two record codecs live here:
 // encode_tsdb_commit/apply_tsdb_commit carry a batch of interned
@@ -31,8 +32,12 @@
 namespace clasp {
 
 // Appends CRC-framed records to a log file. Throws not_found_error when
-// the file cannot be opened. Writes are buffered; call flush() at a
-// consistency boundary (the campaign flushes once per committed hour).
+// the file cannot be opened. append() frames each record into one
+// reusable buffer owned by the writer; flush() hands that buffer to the
+// file in a single write. Call it at a consistency boundary (the
+// campaign flushes once per committed hour). Records appended but not
+// flushed when the writer is destroyed are dropped, as a crash would
+// drop them.
 class wal_writer {
  public:
   // truncate=true starts a fresh log; false appends after existing
@@ -50,6 +55,7 @@ class wal_writer {
  private:
   std::string path_;
   std::ofstream out_;
+  std::string pending_;  // frames appended since the last flush
   std::uint64_t bytes_written_{0};
 };
 

@@ -125,6 +125,9 @@ TEST_F(ObsMetricsTest, RegisterCoreFamiliesCoversTaxonomy) {
   EXPECT_TRUE(counters.contains(obs::family::kWalBytes));
   EXPECT_TRUE(counters.contains(obs::family::kTsdbSnapshots));
   EXPECT_TRUE(counters.contains(obs::family::kCheckpointPublishes));
+  EXPECT_TRUE(counters.contains(obs::family::kCheckpointBytesWritten));
+  EXPECT_TRUE(counters.contains(obs::family::kCheckpointCompactions));
+  EXPECT_TRUE(gauges.contains(obs::family::kCheckpointSealedSegments));
   EXPECT_TRUE(counters.contains(obs::family::kFaultsPreempts));
   EXPECT_TRUE(gauges.contains(obs::family::kPoolUtilization));
   EXPECT_TRUE(gauges.contains(obs::family::kCampaignCursorHours));

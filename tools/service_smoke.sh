@@ -83,12 +83,14 @@ echo "== submit 4 campaigns (2 tenants, max_admitted is 3) =="
 "$CLI" submit --config "$CFG" --tenant bob   --region us-west1 --days $DAYS --seed 103 --durable off
 "$CLI" submit --config "$CFG" --tenant bob   --region us-west1 --days $DAYS --seed 104 --durable on
 
-echo "== wait until the scheduler is actually running campaigns =="
-for _ in $(seq 1 100); do
-  status | grep -q " running," && ! status | grep -q "service: .* 0 running," && break
-  sleep 0.1
+echo "== wait until a durable campaign is part-way through its window =="
+# Kill on progress, not on a fixed sleep: a campaign replays its 720
+# hours in well under a second, so a timed wait can land after every
+# durable campaign has finished and leave nothing to warm-resume.
+for _ in $(seq 1 500); do
+  status | grep -qE " alice +[a-z]+ +us-west1 .* ([1-9]|[1-9][0-9]|[1-6][0-9][0-9]|7[01][0-9])/720 h" && break
+  sleep 0.02
 done
-sleep 0.5
 status
 
 echo "== kill -9 the daemon mid-run =="
