@@ -4,12 +4,16 @@
 // separately readable. Format documentation lives in checkpoint.hpp.
 #include "clasp/checkpoint.hpp"
 
+#include <fcntl.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <iterator>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "util/binio.hpp"
 #include "util/error.hpp"
+#include "util/frame.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 
@@ -43,10 +48,19 @@ std::string checkpoint_name(std::int64_t hours) {
 int g_write_failures_for_testing = 0;
 seal_kill_point g_kill_point_for_testing = seal_kill_point::none;
 
-bool inject_write_failure() {
-  if (g_write_failures_for_testing <= 0) return false;
+// Every checkpoint file write passes here first. Failures (ENOSPC, short
+// write, an unwritable staging dir, the injected ones) are storage_error:
+// the caller aborts the publish and the old checkpoint stays CURRENT.
+void inject_write_failure(const fs::path& path) {
+  if (g_write_failures_for_testing <= 0) return;
   --g_write_failures_for_testing;
-  return true;
+  throw storage_error("checkpoint: injected write failure on " +
+                      path.string());
+}
+
+void write_checkpoint_file(const fs::path& path, std::string_view payload) {
+  inject_write_failure(path);
+  write_crc_file(path.string(), payload);
 }
 
 void kill_point(seal_kill_point at) {
@@ -54,62 +68,6 @@ void kill_point(seal_kill_point at) {
   g_kill_point_for_testing = seal_kill_point::none;
   throw checkpoint_killed_for_testing{at};
 }
-
-// Writes one checkpoint file: a payload plus its u32 crc32 trailer,
-// streamed through a bounded buffer so a large payload is never one
-// string. Failures (ENOSPC, short write, an unwritable staging dir, the
-// injected ones) are storage_error: the caller aborts the publish and
-// the old checkpoint stays CURRENT.
-class crc_file_writer {
- public:
-  explicit crc_file_writer(const std::string& path) : path_(path) {
-    if (inject_write_failure()) {
-      throw storage_error("checkpoint: injected write failure on " + path);
-    }
-    out_.open(path, std::ios::binary | std::ios::trunc);
-    if (!out_) throw storage_error("checkpoint: cannot write " + path);
-  }
-
-  binary_writer& buffer() { return buf_; }
-  // Writes the buffer out, folded into the running CRC, once it passes
-  // kChunk bytes.
-  void spill() {
-    if (buf_.bytes().size() >= kChunk) drain();
-  }
-  // Appends bytes already encoded elsewhere, bypassing the buffer.
-  void write(std::string_view bytes) {
-    drain();
-    crc_ = crc32(bytes, crc_);
-    out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    bytes_ += bytes.size();
-  }
-  // Writes the rest and the trailer; returns the file's size.
-  std::uint64_t close() {
-    drain();
-    buf_.u32(crc_);
-    out_.write(buf_.bytes().data(), 4);
-    out_.flush();
-    if (!out_) throw storage_error("checkpoint: short write on " + path_);
-    return bytes_ + 4;
-  }
-
- private:
-  static constexpr std::size_t kChunk = std::size_t{1} << 20;
-
-  void drain() {
-    const std::string& bytes = buf_.bytes();
-    crc_ = crc32(bytes, crc_);
-    out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    bytes_ += bytes.size();
-    buf_.clear();
-  }
-
-  std::string path_;
-  std::ofstream out_;
-  binary_writer buf_;
-  std::uint32_t crc_{0};
-  std::uint64_t bytes_{0};
-};
 
 std::string encode_manifest(const checkpoint_info& info) {
   binary_writer out;
@@ -189,32 +147,6 @@ std::uint64_t checkpoint_info::segment_bytes() const {
   std::uint64_t n = 0;
   for (const sealed_segment& seg : segments) n += seg.bytes;
   return n;
-}
-
-// payload + u32 crc32 trailer. A plain write: atomicity comes from the
-// directory rename that publishes the whole checkpoint at once.
-void write_crc_file(const std::string& path, std::string_view payload) {
-  crc_file_writer out(path);
-  out.write(payload);
-  out.close();
-}
-
-std::string read_crc_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw not_found_error("checkpoint: cannot read " + path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (content.size() < 4) {
-    throw invalid_argument_error("checkpoint: truncated " + path);
-  }
-  const std::string_view payload =
-      std::string_view(content).substr(0, content.size() - 4);
-  binary_reader trailer(std::string_view(content).substr(content.size() - 4));
-  if (trailer.u32() != crc32(payload)) {
-    throw invalid_argument_error("checkpoint: CRC mismatch in " + path);
-  }
-  content.resize(content.size() - 4);
-  return content;
 }
 
 std::optional<std::string> current_checkpoint(const std::string& dir) {
@@ -587,20 +519,27 @@ void campaign_runner::checkpoint(const std::string& dir) {
     save_state(ledger, /*full=*/false);
     written += ledger.bytes().size() + 4;
     if (refresh) {
-      write_crc_file(ledger_tmp.string(), ledger.bytes());
+      write_checkpoint_file(ledger_tmp, ledger.bytes());
       fs::rename(ledger_tmp, root / name / "ledger.bin");
     } else {
       fs::create_directories(staging);
       if (full) {
         store_->snapshot_to((staging / "tsdb.snap").string());
-        crc_file_writer state((staging / "state.bin").string());
+        const fs::path state_path = staging / "state.bin";
+        inject_write_failure(state_path);
+        std::ofstream state_file(state_path, std::ios::binary);
+        crc_trailer_writer state(state_file);
         save_state(state.buffer(), /*full=*/true, [&state] { state.spill(); });
         next.base_bytes = fs::file_size(staging / "tsdb.snap") + state.close();
+        if (!state_file) {
+          throw storage_error("checkpoint: cannot write " +
+                              state_path.string());
+        }
         written += next.base_bytes;
       }
-      write_crc_file(staging / "ledger.bin", ledger.bytes());
+      write_checkpoint_file(staging / "ledger.bin", ledger.bytes());
       const std::string manifest = encode_manifest(next);
-      write_crc_file(staging / "MANIFEST", manifest);
+      write_checkpoint_file(staging / "MANIFEST", manifest);
       written += manifest.size() + 4;
       if (seal) {
         // The log of the hours since the last publish becomes an immutable
@@ -616,11 +555,22 @@ void campaign_runner::checkpoint(const std::string& dir) {
       }
       // Publish: the staged directory becomes visible in one rename, then
       // the CURRENT pointer flips in another. A full checkpoint at an hour
-      // already published (an anchor in a reused directory, another
-      // directory) replaces the directory.
+      // already published (an anchor in a reused directory, a shared-store
+      // base at the same hour) swaps the two directories in one step, so
+      // CURRENT never names a missing one; the old one, now under the
+      // staging name, is removed (or by GC after a kill).
       const fs::path published = root / name;
-      fs::remove_all(published, ec);
-      fs::rename(staging, published);
+      if (fs::exists(published)) {
+        if (::renameat2(AT_FDCWD, staging.c_str(), AT_FDCWD,
+                        published.c_str(), RENAME_EXCHANGE) != 0) {
+          throw storage_error("checkpoint: cannot swap " + staging.string() +
+                              " into place: " + std::strerror(errno));
+        }
+        kill_point(seal_kill_point::after_directory_swap);
+        fs::remove_all(staging, ec);
+      } else {
+        fs::rename(staging, published);
+      }
       {
         std::ofstream cur(root / "CURRENT.tmp", std::ios::trunc);
         cur << name << '\n';

@@ -67,7 +67,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace clasp {
@@ -124,26 +123,18 @@ checkpoint_info read_checkpoint_info(const std::string& checkpoint_path);
 // old CURRENT left valid — without actually filling a filesystem.
 void set_checkpoint_write_failures_for_testing(int count);
 
-// Test hook: stop the next seal publish dead at `point`, leaving the
+// Test hook: stop the next publish dead at `point`, leaving the
 // directory exactly as a process kill there would (no quarantine, no
 // cleanup), by throwing checkpoint_killed_for_testing.
 enum class seal_kill_point {
   none,
-  after_segment_link,  // segment linked, CURRENT still names the old one
-  after_current_flip,  // CURRENT flipped, wal.log not yet replaced
+  after_segment_link,    // segment linked, CURRENT still names the old one
+  after_current_flip,    // CURRENT flipped, wal.log not yet replaced
+  after_directory_swap,  // a republished hour's old dir has the staging name
 };
 void set_seal_kill_point_for_testing(seal_kill_point point);
 struct checkpoint_killed_for_testing {
   seal_kill_point point;
 };
-
-// Small-file CRC helpers shared with the service registry: payload plus
-// a u32 crc32 trailer. write_crc_file is a plain write (callers get
-// atomicity from a tmp + rename publish) and honors the write-failure
-// test hook, throwing storage_error on failure. read_crc_file throws
-// not_found_error when the file is missing and invalid_argument_error on
-// truncation or a CRC mismatch.
-void write_crc_file(const std::string& path, std::string_view payload);
-std::string read_crc_file(const std::string& path);
 
 }  // namespace clasp

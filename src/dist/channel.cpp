@@ -8,11 +8,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <fstream>
-#include <iterator>
 
-#include "util/binio.hpp"
 #include "util/error.hpp"
+#include "util/frame.hpp"
 
 namespace clasp::dist {
 
@@ -23,11 +21,10 @@ namespace {
 // field, not a real message.
 constexpr std::uint32_t kMaxFrameBytes = 1u << 26;
 
-std::string frame_header(std::string_view payload, std::uint32_t crc) {
-  binary_writer header;
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(crc);
-  return header.take();
+std::string frame_of(std::string_view payload) {
+  std::string frame;
+  append_frame(frame, payload);
+  return frame;
 }
 
 }  // namespace
@@ -61,34 +58,18 @@ void fd_channel::send_raw(std::string_view bytes) {
 }
 
 void fd_channel::send(std::string_view payload) {
-  send_raw(frame_header(payload, crc32(payload)) + std::string(payload));
+  send_raw(frame_of(payload));
 }
 
 void fd_channel::send_bad_crc(std::string_view payload) {
-  send_raw(frame_header(payload, crc32(payload) ^ 0xDEADBEEFu) +
-           std::string(payload));
+  std::string frame = frame_of(payload);
+  frame[4] = static_cast<char>(frame[4] ^ 0x01);  // the CRC field's low byte
+  send_raw(frame);
 }
 
 void fd_channel::send_torn(std::string_view payload) {
-  const std::string full =
-      frame_header(payload, crc32(payload)) + std::string(payload);
-  send_raw(std::string_view(full).substr(0, full.size() / 2 + 4));
-}
-
-recv_status fd_channel::parse_frame(std::string& out) {
-  if (buf_.size() < 8) return recv_status::timeout;
-  binary_reader header(std::string_view(buf_).substr(0, 8));
-  const std::uint32_t len = header.u32();
-  const std::uint32_t expect_crc = header.u32();
-  if (len > kMaxFrameBytes) return recv_status::closed;
-  if (buf_.size() < 8 + static_cast<std::size_t>(len)) {
-    return recv_status::timeout;
-  }
-  const std::string_view payload = std::string_view(buf_).substr(8, len);
-  const bool ok = crc32(payload) == expect_crc;
-  if (ok) out.assign(payload);
-  buf_.erase(0, 8 + static_cast<std::size_t>(len));
-  return ok ? recv_status::ok : recv_status::corrupt;
+  const std::string frame = frame_of(payload);
+  send_raw(std::string_view(frame).substr(0, frame.size() / 2 + 4));
 }
 
 recv_status fd_channel::recv(std::string& out, int timeout_ms) {
@@ -96,8 +77,14 @@ recv_status fd_channel::recv(std::string& out, int timeout_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   for (;;) {
-    const recv_status parsed = parse_frame(out);
-    if (parsed != recv_status::timeout) return parsed;
+    const frame_cut cut = cut_frame(buf_, kMaxFrameBytes);
+    if (cut.status == frame_status::bad_length) return recv_status::closed;
+    if (cut.status != frame_status::incomplete) {
+      const bool ok = cut.status == frame_status::ok;
+      if (ok) out.assign(cut.payload);
+      buf_.erase(0, cut.consumed);
+      return ok ? recv_status::ok : recv_status::corrupt;
+    }
     int wait_ms = -1;
     if (timeout_ms >= 0) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -189,50 +176,6 @@ std::unique_ptr<fd_channel> connect_unix(const std::string& path) {
     throw state_error("dist channel: no service listening at " + path);
   }
   return std::make_unique<fd_channel>(fd);
-}
-
-file_channel::file_channel(std::string recv_path, std::string send_path)
-    : recv_path_(std::move(recv_path)), send_path_(std::move(send_path)) {}
-
-void file_channel::append(std::string_view bytes) {
-  std::ofstream out(send_path_, std::ios::binary | std::ios::app);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) throw state_error("dist channel: cannot append " + send_path_);
-}
-
-void file_channel::send(std::string_view payload) {
-  append(frame_header(payload, crc32(payload)) + std::string(payload));
-}
-
-void file_channel::send_bad_crc(std::string_view payload) {
-  append(frame_header(payload, crc32(payload) ^ 0xDEADBEEFu) +
-         std::string(payload));
-}
-
-void file_channel::send_torn(std::string_view payload) {
-  const std::string full =
-      frame_header(payload, crc32(payload)) + std::string(payload);
-  append(std::string_view(full).substr(0, full.size() / 2 + 4));
-}
-
-recv_status file_channel::recv(std::string& out, int /*timeout_ms*/) {
-  std::ifstream in(recv_path_, std::ios::binary);
-  if (!in) return recv_status::timeout;  // nothing written yet
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (content.size() < cursor_ + 8) return recv_status::timeout;
-  binary_reader header(std::string_view(content).substr(cursor_, 8));
-  const std::uint32_t len = header.u32();
-  const std::uint32_t expect_crc = header.u32();
-  if (len > kMaxFrameBytes) return recv_status::closed;
-  if (content.size() < cursor_ + 8 + len) return recv_status::timeout;
-  const std::string_view payload =
-      std::string_view(content).substr(cursor_ + 8, len);
-  cursor_ += 8 + len;
-  if (crc32(payload) != expect_crc) return recv_status::corrupt;
-  out.assign(payload);
-  return recv_status::ok;
 }
 
 }  // namespace clasp::dist

@@ -1,10 +1,7 @@
 // Framed byte channels between the shard coordinator and its workers.
 //
-// Every message travels as one frame with the WAL's framing discipline —
-//
-//   [u32 payload length][u32 crc32(payload)][payload bytes]
-//
-// (little-endian via binio) — so the stream shares the durability layer's
+// Every message travels as one frame of the shared codec
+// (util/frame.hpp), so the stream shares the durability layer's
 // corruption taxonomy. Because the length prefix arrives intact even when
 // the payload is damaged, a CRC-failed frame can be skipped without
 // losing stream sync: the receiver reports it and keeps reading, and the
@@ -12,16 +9,13 @@
 // worker down. Only a truncated stream (peer death mid-frame) or an
 // absurd length is unrecoverable.
 //
-// Two implementations: fd_channel wraps one end of a stream socketpair
-// and is what fork()ed workers use; file_channel replays frames through
-// ordinary files so protocol tests can exercise framing, corruption and
-// torn tails without processes. unix_listener/connect_unix put the same
-// framing on a named unix-domain socket — the campaign service's control
-// plane rides on it, so control messages inherit the CRC discipline and
-// corruption taxonomy for free.
+// fd_channel wraps one end of a stream socketpair and is what fork()ed
+// workers use. unix_listener/connect_unix put the same framing on a
+// named unix-domain socket — the campaign service's control plane rides
+// on it, so control messages inherit the CRC discipline and corruption
+// taxonomy for free.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -38,48 +32,35 @@ enum class recv_status {
             // (length field larger than any legal frame)
 };
 
-class byte_channel {
+// Channel over a stream-socket file descriptor (one end of a
+// socketpair). Owns the fd. Partial reads are reassembled internally;
+// sends loop over partial writes and never raise SIGPIPE.
+class fd_channel {
  public:
-  virtual ~byte_channel() = default;
+  explicit fd_channel(int fd);
+  ~fd_channel();
+  fd_channel(const fd_channel&) = delete;
+  fd_channel& operator=(const fd_channel&) = delete;
 
   // Send one framed payload. Throws state_error when the peer is gone.
-  virtual void send(std::string_view payload) = 0;
+  void send(std::string_view payload);
 
   // Receive the next frame. timeout_ms < 0 blocks until a frame, EOF or
   // an error; 0 polls. On `ok` the payload is in `out`; otherwise `out`
   // is unspecified.
-  virtual recv_status recv(std::string& out, int timeout_ms) = 0;
+  recv_status recv(std::string& out, int timeout_ms);
 
   // Chaos injection for the kill-point sweep: send a complete frame
   // whose CRC is wrong (receiver must report `corrupt` and resync), or
   // the first half of a frame (receiver must see a torn stream).
-  virtual void send_bad_crc(std::string_view payload) = 0;
-  virtual void send_torn(std::string_view payload) = 0;
-};
-
-// Channel over a stream-socket file descriptor (one end of a
-// socketpair). Owns the fd. Partial reads are reassembled internally;
-// sends loop over partial writes and never raise SIGPIPE.
-class fd_channel final : public byte_channel {
- public:
-  explicit fd_channel(int fd);
-  ~fd_channel() override;
-  fd_channel(const fd_channel&) = delete;
-  fd_channel& operator=(const fd_channel&) = delete;
-
-  void send(std::string_view payload) override;
-  recv_status recv(std::string& out, int timeout_ms) override;
-  void send_bad_crc(std::string_view payload) override;
-  void send_torn(std::string_view payload) override;
+  void send_bad_crc(std::string_view payload);
+  void send_torn(std::string_view payload);
 
   int fd() const { return fd_; }
   void close();
 
  private:
   void send_raw(std::string_view bytes);
-  // Try to cut one frame out of buf_. Returns ok/corrupt/closed when the
-  // buffered bytes decide, timeout when more bytes are needed.
-  recv_status parse_frame(std::string& out);
 
   int fd_;
   std::string buf_;  // received, not yet parsed
@@ -113,27 +94,5 @@ class unix_listener {
 // Client side: connect to a unix_listener's socket. Throws state_error
 // when nothing listens at `path`.
 std::unique_ptr<fd_channel> connect_unix(const std::string& path);
-
-// File-backed half-duplex pair for tests: send appends frames to one
-// file, recv reads them from another (wire two of these back to back to
-// emulate a full channel). recv reports `timeout` while the next frame
-// is incomplete — a file cannot distinguish "more bytes coming" from a
-// torn tail, which is exactly the ambiguity a real torn stream has.
-class file_channel final : public byte_channel {
- public:
-  file_channel(std::string recv_path, std::string send_path);
-
-  void send(std::string_view payload) override;
-  recv_status recv(std::string& out, int timeout_ms) override;
-  void send_bad_crc(std::string_view payload) override;
-  void send_torn(std::string_view payload) override;
-
- private:
-  void append(std::string_view bytes);
-
-  std::string recv_path_;
-  std::string send_path_;
-  std::uint64_t cursor_{0};  // read offset into recv_path_
-};
 
 }  // namespace clasp::dist

@@ -1,5 +1,8 @@
 #include "dist/worker.hpp"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,7 +16,7 @@
 
 namespace clasp::dist {
 
-int worker_serve(campaign_runner& campaign, byte_channel& ch,
+int worker_serve(campaign_runner& campaign, fd_channel& ch,
                  const shard_assignment& assignment,
                  const worker_chaos& chaos) {
   const std::uint32_t shard = assignment.shard;
@@ -121,6 +124,11 @@ spawned_worker spawn_worker(campaign_runner& campaign,
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
     throw state_error("dist: socketpair failed");
   }
+#ifdef __GLIBC__
+  // A child starts with every page the coordinator has resident, freed
+  // heap the allocator kept included: give that back first.
+  ::malloc_trim(0);
+#endif
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(sv[0]);

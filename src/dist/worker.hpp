@@ -52,7 +52,7 @@ struct worker_chaos {
 // Serve one shard over `ch` until the range is done, the coordinator
 // says stop, or the channel dies. Returns a process exit code: 0 for a
 // clean finish or stop, nonzero when the channel failed.
-int worker_serve(campaign_runner& campaign, byte_channel& ch,
+int worker_serve(campaign_runner& campaign, fd_channel& ch,
                  const shard_assignment& assignment,
                  const worker_chaos& chaos = {});
 

@@ -140,8 +140,9 @@ control_reply decode_reply(std::string_view payload) {
   s.evictions = in.varint();
   s.cold_starts = in.varint();
   s.warm_resumes = in.varint();
-  const std::uint64_t count = in.varint();
-  reply.campaigns.resize(count);
+  // Each campaign encodes to at least 28 bytes: two u64s, a bool and
+  // eleven varints or length prefixes.
+  reply.campaigns.resize(in.count(28));
   for (campaign_status& c : reply.campaigns) {
     c.id = in.u64();
     c.tenant = in.str();

@@ -1,9 +1,9 @@
 // Control plane for the campaign service daemon.
 //
 // One request/one reply per connection round: the client sends a framed
-// control_request over the daemon's unix socket (dist::fd_channel
-// framing — [len][crc][payload] — so control messages inherit the CRC
-// discipline the shard protocol uses), the daemon answers with a
+// control_request over the daemon's unix socket (one dist::fd_channel
+// frame of the shared codec, util/frame.hpp, so control messages inherit
+// the CRC discipline the shard protocol uses), the daemon answers with a
 // control_reply and the client disconnects. Payloads are versioned binio
 // like every other wire format in the tree; decode throws
 // invalid_argument_error on anything malformed, and the daemon turns

@@ -2,9 +2,9 @@
 
 #include <filesystem>
 
-#include "clasp/checkpoint.hpp"
 #include "util/binio.hpp"
 #include "util/error.hpp"
+#include "util/frame.hpp"
 #include "util/rng.hpp"
 
 namespace clasp::svc {

@@ -16,8 +16,9 @@
 // Every transition is validated — an illegal edge is a typed
 // state_error, never a silent overwrite — and done/failed/cancelled are
 // terminal. Persistence is a CRC-trailed snapshot written through the
-// checkpoint layer's small-file helpers with a tmp+rename publish, so a
-// kill -9 leaves either the old or the new registry, never a torn one.
+// codec's small-file helpers (util/frame.hpp) with a tmp+rename publish,
+// so a kill -9 leaves either the old or the new registry, never a torn
+// one.
 // On reload, reset_transients() demotes admitted/running records back to
 // queued: their sessions died with the process, and re-admission plus
 // checkpoint resume reproduces their output byte-identically.

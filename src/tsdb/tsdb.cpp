@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "util/binio.hpp"
 #include "util/error.hpp"
+#include "util/frame.hpp"
 
 namespace clasp {
 
@@ -178,20 +179,8 @@ constexpr std::uint32_t kSnapshotVersion = 1;
 
 void tsdb::snapshot_to(std::ostream& os) const {
   const auto begin = std::chrono::steady_clock::now();
-  // Series are encoded into a bounded buffer that is written out, and
-  // folded into the running CRC, whenever it passes kChunk bytes: the
-  // bytes are those of one payload string, without holding it.
-  constexpr std::size_t kChunk = std::size_t{1} << 20;
-  binary_writer out;
-  std::uint32_t crc = 0;
-  std::uint64_t total = 0;
-  const auto flush = [&] {
-    const std::string& bytes = out.bytes();
-    crc = crc32(bytes, crc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    total += bytes.size();
-    out.clear();
-  };
+  crc_trailer_writer file(os);
+  binary_writer& out = file.buffer();
   out.u32(kSnapshotMagic);
   out.u32(kSnapshotVersion);
   out.varint(series_.size());
@@ -208,15 +197,10 @@ void tsdb::snapshot_to(std::ostream& os) const {
       out.svarint(p.at.hours_since_epoch() - prev_hour);
       prev_hour = p.at.hours_since_epoch();
       out.f64(p.value);
-      if (out.bytes().size() >= kChunk) flush();
     }
-    if (out.bytes().size() >= kChunk) flush();
+    file.spill();
   }
-  flush();
-  binary_writer trailer;
-  trailer.u32(crc);
-  os.write(trailer.bytes().data(), 4);
-  total += 4;
+  const std::uint64_t total = file.close();
   if (!os) throw state_error("tsdb: snapshot write failed");
   if (obs::enabled()) {
     obs::metrics_registry& reg = obs::metrics_registry::instance();
@@ -240,18 +224,9 @@ void tsdb::restore_from(std::istream& is) {
   obs::metrics_registry::instance()
       .get_counter(obs::family::kTsdbRestores)
       .add(1);
-  std::string content((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
-  if (content.size() < 12) {
-    throw invalid_argument_error("tsdb: truncated snapshot");
-  }
-  const std::string_view payload =
-      std::string_view(content).substr(0, content.size() - 4);
-  binary_reader trailer(
-      std::string_view(content).substr(content.size() - 4));
-  if (trailer.u32() != crc32(payload)) {
-    throw invalid_argument_error("tsdb: snapshot CRC mismatch");
-  }
+  const std::string content((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+  const std::string_view payload = check_crc_trailer(content, "tsdb snapshot");
   binary_reader in(payload);
   if (in.u32() != kSnapshotMagic) {
     throw invalid_argument_error("tsdb: bad snapshot magic");
@@ -280,7 +255,9 @@ void tsdb::restore_from(std::istream& is) {
     s.reserve(n_points);
     std::int64_t prev_hour = 0;
     for (std::size_t p = 0; p < n_points; ++p) {
-      prev_hour += in.svarint();
+      if (__builtin_add_overflow(prev_hour, in.svarint(), &prev_hour)) {
+        throw invalid_argument_error("tsdb: snapshot hour out of range");
+      }
       s.append(hour_stamp{prev_hour}, in.f64());
     }
     index.emplace(series_key(metric, tags), series.size());

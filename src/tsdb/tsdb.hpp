@@ -289,9 +289,10 @@ class tsdb {
   // Binary full snapshot: magic + version, every series in insertion
   // order (so restored series_refs equal the originals), strings carried
   // length-prefixed (non-ASCII tag values round-trip exactly), values as
-  // IEEE-754 bit patterns, the whole payload CRC32-framed. snapshot_to
-  // streams series by series through a bounded buffer under a running
-  // CRC, so a snapshot never holds the payload in memory. restore_from
+  // IEEE-754 bit patterns, the whole payload closed by a CRC32 trailer
+  // (util/frame.hpp). snapshot_to streams series by series through the
+  // codec's bounded buffer, so a snapshot never holds the payload in
+  // memory. restore_from
   // replaces the store's contents, sizes each value column exactly, and
   // throws invalid_argument_error on a corrupt, truncated or
   // version-mismatched snapshot. The path overloads throw

@@ -7,6 +7,7 @@
 #include "obs/metrics.hpp"
 #include "util/binio.hpp"
 #include "util/error.hpp"
+#include "util/frame.hpp"
 
 namespace clasp {
 
@@ -46,20 +47,10 @@ wal_writer::wal_writer(const std::string& path, bool truncate)
 }
 
 void wal_writer::append(std::string_view payload) {
-  // The 8-byte header goes straight into the pending buffer, little-endian
-  // as binary_writer::u32 writes it, followed by the payload.
-  const auto put_u32 = [this](std::uint32_t v) {
-    const char b[4] = {static_cast<char>(v), static_cast<char>(v >> 8),
-                       static_cast<char>(v >> 16),
-                       static_cast<char>(v >> 24)};
-    pending_.append(b, 4);
-  };
-  put_u32(static_cast<std::uint32_t>(payload.size()));
-  put_u32(crc32(payload));
-  pending_.append(payload);
-  bytes_written_ += 8 + payload.size();
+  append_frame(pending_, payload);
+  bytes_written_ += kFrameHeaderBytes + payload.size();
   wal_counters().appends->add(1);
-  wal_counters().bytes->add(8 + payload.size());
+  wal_counters().bytes->add(kFrameHeaderBytes + payload.size());
 }
 
 void wal_writer::flush() {
@@ -78,28 +69,19 @@ wal_scan_result scan_wal(const std::string& path) {
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   std::size_t pos = 0;
-  while (pos + 8 <= content.size()) {
-    binary_reader header(std::string_view(content).substr(pos, 8));
-    const std::uint32_t len = header.u32();
-    const std::uint32_t expect_crc = header.u32();
-    if (len > kMaxRecordBytes) {
-      // The full length field is on disk and nonsensical: corruption, not
-      // a tear (a torn write can only shorten the file).
+  for (;;) {
+    const frame_cut cut =
+        cut_frame(std::string_view(content).substr(pos), kMaxRecordBytes);
+    if (cut.status == frame_status::incomplete) break;  // torn mid-frame
+    if (cut.status != frame_status::ok) {
+      // A fully-present frame failed its CRC, or its length field is
+      // nonsensical: corruption, not a tear. The valid prefix is still
+      // reported, but the caller must not treat this as a torn tail.
       result.corrupt = true;
       break;
     }
-    if (pos + 8 + len > content.size()) break;  // torn mid-frame
-    const std::string_view payload =
-        std::string_view(content).substr(pos + 8, len);
-    if (crc32(payload) != expect_crc) {
-      // Every payload byte is present yet the CRC disagrees: interior
-      // corruption. The valid prefix is still reported, but the caller
-      // must not treat this as an ordinary torn tail.
-      result.corrupt = true;
-      break;
-    }
-    result.records.emplace_back(payload);
-    pos += 8 + len;
+    result.records.emplace_back(cut.payload);
+    pos += cut.consumed;
     result.record_end.push_back(pos);
   }
   result.valid_bytes = pos;

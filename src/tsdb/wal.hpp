@@ -1,15 +1,11 @@
 // Append-only write-ahead log with CRC32 framing.
 //
 // The durability layer logs every committed batch of work before the
-// in-memory state that produced it can be lost: each record is framed as
-//
-//   [u32 payload length][u32 crc32(payload)][payload bytes]
-//
-// (fixed-width little-endian header, as binio writes it). A crash can
-// tear at most the tail of the file; scan_wal walks records front to
-// back, stops at the first short or corrupt frame, and reports how many
-// bytes are valid so recovery can truncate the torn tail and trust
-// everything before it.
+// in-memory state that produced it can be lost: each record is one frame
+// of the shared codec (util/frame.hpp). A crash can tear at most the tail
+// of the file; scan_wal walks records front to back, stops at the first
+// short or corrupt frame, and reports how many bytes are valid so
+// recovery can truncate the torn tail and trust everything before it.
 //
 // Payloads are opaque to the framing. Two record codecs live here:
 // encode_tsdb_commit/apply_tsdb_commit carry a batch of interned

@@ -4,8 +4,9 @@
 // doubles are carried as their IEEE-754 bit patterns (never reformatted
 // through text), integers as LEB128 varints, and strings length-prefixed
 // so arbitrary bytes (non-ASCII server names, embedded separators) are
-// safe. Every on-disk artifact frames its payload with the CRC32 below so
-// torn or corrupted files are detected before any state is trusted.
+// safe. Every on-disk artifact is framed or trailed with the CRC32 below
+// (util/frame.hpp) so torn or corrupted files are detected before any
+// state is trusted.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +15,9 @@
 
 namespace clasp {
 
-// CRC-32 (IEEE 802.3 polynomial, reflected), the framing checksum used by
-// the TSDB snapshot, the write-ahead log and the checkpoint files. Pass
+// CRC-32 (IEEE 802.3 polynomial, reflected): the checksum of the frame
+// and trailer codec in util/frame.hpp, and of the shard protocol's
+// per-record check (dist/protocol.cpp). Pass
 // the CRC of the bytes before to continue it: crc32(b, crc32(a)) equals
 // crc32 of a followed by b, so a payload can be checksummed in chunks.
 std::uint32_t crc32(std::string_view bytes, std::uint32_t crc = 0);

@@ -27,6 +27,7 @@
 #include "tsdb/wal.hpp"
 #include "util/binio.hpp"
 #include "util/error.hpp"
+#include "util/frame.hpp"
 #include "util/log.hpp"
 
 namespace clasp {
@@ -572,6 +573,40 @@ TEST(CampaignResume, KillInsideTheSealProtocol) {
                                        l.preset, 2));
     fs::remove_all(root);
   }
+}
+
+TEST(CampaignResume, KillMidSwapOfARepublishedHourResumes) {
+  // A fresh run in a reused directory publishes its anchor at an hour the
+  // directory already holds. The new checkpoint replaces the old one in a
+  // single directory swap: a kill right after it leaves CURRENT naming a
+  // complete checkpoint (and the old one under the staging name, which
+  // GC clears), never a missing directory.
+  const fs::path root = test_dir();
+  const std::string dir = run_and_kill(root.string(), 1, "low", 5);
+  const std::string name =
+      "ckpt-" + std::to_string(window().begin_at.hours_since_epoch());
+  ASSERT_TRUE(fs::exists(dir + "/" + name));
+  {
+    clasp_platform p(tiny_config(2, "low", root.string()));
+    campaign_runner& c = p.start_topology_campaign("us-west1", window());
+    set_seal_kill_point_for_testing(seal_kill_point::after_directory_swap);
+    bool killed = false;
+    try {
+      c.run_until(window().begin_at + 1);
+    } catch (const checkpoint_killed_for_testing& k) {
+      EXPECT_EQ(k.point, seal_kill_point::after_directory_swap);
+      killed = true;
+    }
+    set_seal_kill_point_for_testing(seal_kill_point::none);
+    ASSERT_TRUE(killed);
+  }
+  EXPECT_EQ(current_info(dir).cursor_hours,
+            window().begin_at.hours_since_epoch());
+  EXPECT_TRUE(fs::exists(dir + "/" + name + ".staging"));
+  expect_identical(reference("low"),
+                   resume_and_finish(root.string(), 8, "low"));
+  EXPECT_FALSE(fs::exists(dir + "/" + name + ".staging"));
+  fs::remove_all(root);
 }
 
 TEST(CampaignResume, FailedPublishKeepsLoggingAndFinishes) {

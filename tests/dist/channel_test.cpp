@@ -1,13 +1,12 @@
 // Framed byte channels: framing round-trips, CRC rejection with stream
-// resync, torn tails and peer-death detection — for both the socketpair
-// transport the fork()ed workers use and the file-backed test channel.
+// resync, torn tails and peer-death detection over the socketpair
+// transport the fork()ed workers use. The frame layout itself is tested
+// in util/frame_test.cpp.
 #include "dist/channel.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
-#include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "util/error.hpp"
@@ -15,18 +14,7 @@
 namespace clasp::dist {
 namespace {
 
-namespace fs = std::filesystem;
 using namespace std::string_literals;
-
-fs::path test_dir() {
-  const fs::path dir =
-      fs::temp_directory_path() /
-      (std::string("clasp_channel_") +
-       ::testing::UnitTest::GetInstance()->current_test_info()->name());
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 struct socket_pair {
   socket_pair() {
@@ -97,64 +85,16 @@ TEST(Channel, FdSendToDeadPeerThrowsTyped) {
   EXPECT_THROW(p.a->send("into the void"), state_error);
 }
 
-TEST(Channel, FileRoundTripsBothWays) {
-  const fs::path dir = test_dir();
-  const std::string a2b = (dir / "a2b").string();
-  const std::string b2a = (dir / "b2a").string();
-  file_channel left(b2a, a2b);
-  file_channel right(a2b, b2a);
-  left.send("ping");
-  right.send("pong");
-  std::string out;
-  EXPECT_EQ(right.recv(out, 0), recv_status::ok);
-  EXPECT_EQ(out, "ping");
-  EXPECT_EQ(left.recv(out, 0), recv_status::ok);
-  EXPECT_EQ(out, "pong");
-  fs::remove_all(dir);
-}
-
-TEST(Channel, FileIncompleteFrameStaysTimeout) {
-  // A file cannot distinguish "more bytes coming" from a torn tail; the
-  // channel reports timeout and keeps reporting it — the ambiguity a
-  // real torn stream has until the peer's death settles it.
-  const fs::path dir = test_dir();
-  file_channel left((dir / "b2a").string(), (dir / "a2b").string());
-  file_channel right((dir / "a2b").string(), (dir / "b2a").string());
-  std::string out;
-  EXPECT_EQ(right.recv(out, 0), recv_status::timeout);  // nothing yet
-  left.send_torn("half a frame");
-  EXPECT_EQ(right.recv(out, 0), recv_status::timeout);
-  EXPECT_EQ(right.recv(out, 0), recv_status::timeout);
-  fs::remove_all(dir);
-}
-
-TEST(Channel, FileBadCrcAdvancesPastTheFrame) {
-  const fs::path dir = test_dir();
-  file_channel left((dir / "b2a").string(), (dir / "a2b").string());
-  file_channel right((dir / "a2b").string(), (dir / "b2a").string());
-  left.send_bad_crc("damaged");
-  left.send("clean");
-  std::string out;
-  EXPECT_EQ(right.recv(out, 0), recv_status::corrupt);
-  EXPECT_EQ(right.recv(out, 0), recv_status::ok);
-  EXPECT_EQ(out, "clean");
-  fs::remove_all(dir);
-}
-
 TEST(Channel, AbsurdLengthFieldIsClosedNotTimeout) {
   // A length field larger than any legal frame means the stream itself
   // is garbage — unrecoverable, unlike a CRC-failed frame.
-  const fs::path dir = test_dir();
-  {
-    std::ofstream f(dir / "a2b", std::ios::binary);
-    const char huge_len[8] = {'\x7f', '\x7f', '\x7f', '\x7f',
-                              '\x00', '\x00', '\x00', '\x00'};
-    f.write(huge_len, sizeof(huge_len));
-  }
-  file_channel right((dir / "a2b").string(), (dir / "b2a").string());
+  socket_pair p;
+  const char huge_len[8] = {'\x7f', '\x7f', '\x7f', '\x7f',
+                            '\x00', '\x00', '\x00', '\x00'};
+  ASSERT_EQ(::send(p.a->fd(), huge_len, sizeof(huge_len), 0),
+            static_cast<ssize_t>(sizeof(huge_len)));
   std::string out;
-  EXPECT_EQ(right.recv(out, 0), recv_status::closed);
-  fs::remove_all(dir);
+  EXPECT_EQ(p.b->recv(out, 1000), recv_status::closed);
 }
 
 }  // namespace
