@@ -2,7 +2,8 @@
 //
 // These are the operations that bound a full campaign's wall-clock:
 // internet generation, route construction, per-hour path evaluation,
-// a complete speed test, traceroute, and time-series writes.
+// a complete speed test and its ping and someta kernels, traceroute, and
+// time-series writes.
 //
 // BM_CampaignHour additionally writes BENCH_campaign.json next to the
 // binary: per-(workers, fleet_scale) ns/hour plus BM_LinkHourEval's
@@ -21,11 +22,13 @@
 #include <vector>
 
 #include "clasp/platform.hpp"
+#include "cloud/someta.hpp"
 #include "netsim/network.hpp"
 #include "obs/families.hpp"
 #include "obs/metrics.hpp"
 #include "probes/traceroute.hpp"
 #include "speedtest/webtest.hpp"
+#include "tcp/model.hpp"
 
 namespace {
 
@@ -170,6 +173,33 @@ void BM_SpeedTest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpeedTest);
+
+// One session's ping phase: the minimum of the default ten probes over
+// a 40 ms path.
+void BM_LatencyProbe(benchmark::State& state) {
+  path_metrics m;
+  m.rtt = millis{40.0};
+  m.base_rtt = millis{40.0};
+  const auto probes = speed_test_config{}.latency_probes;
+  rng r(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_latency_probe(m, probes, r).value);
+  }
+}
+BENCHMARK(BM_LatencyProbe);
+
+// One session's someta sample on the paper's machine type.
+void BM_SometaSample(benchmark::State& state) {
+  const machine_type& n1 = machine_type_by_name("n1-standard-2");
+  rng r(1);
+  std::int64_t h = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        record_test_metadata(n1, mbps{600.0}, hour_stamp{h++}, r)
+            .cpu_utilization);
+  }
+}
+BENCHMARK(BM_SometaSample);
 
 void BM_Traceroute(benchmark::State& state) {
   auto& p = shared_platform();

@@ -4,6 +4,22 @@
 
 namespace clasp {
 
+namespace {
+
+// max(0, r.normal(0, sigma)), drawing exactly what that call draws. The
+// Box-Muller value's sign is cos(2 pi u2)'s, which is certainly negative
+// (below -6e-4) for u2 in (0.2501, 0.7499); the radius sqrt(-2 log u1)
+// is positive for u1 < 1. So there the result is +0.0 without log, sqrt
+// or cos, and elsewhere it is the full expression.
+double half_normal(rng& r, double sigma) {
+  const double u1 = r.uniform_positive();
+  const double u2 = r.uniform();
+  if (u2 > 0.2501 && u2 < 0.7499) return 0.0;
+  return std::max(0.0, 0.0 + sigma * rng::box_muller(u1, u2));
+}
+
+}  // namespace
+
 vm_metadata_sample record_test_metadata(const machine_type& machine,
                                         mbps observed_throughput,
                                         hour_stamp at, rng& r) {
@@ -17,7 +33,7 @@ vm_metadata_sample record_test_metadata(const machine_type& machine,
   const double throughput_cores =
       0.35 * observed_throughput.value / 1000.0;
   const double baseline_cores = 0.12;
-  const double jitter = std::max(0.0, r.normal(0.0, 0.03));
+  const double jitter = half_normal(r, 0.03);
   sample.cpu_utilization = std::min(
       (throughput_cores + baseline_cores) / cores + jitter, 1.0);
   sample.cpu_saturated = sample.cpu_utilization >= 0.95;
@@ -25,7 +41,7 @@ vm_metadata_sample record_test_metadata(const machine_type& machine,
   // Memory: Chromium plus capture buffers; well under the 7.5 GB of an
   // n1-standard-2.
   sample.memory_gb = 1.4 + 0.2 * observed_throughput.value / 1000.0 +
-                     std::max(0.0, r.normal(0.0, 0.05));
+                     half_normal(r, 0.05);
   // iowait: compressing and uploading artifacts.
   sample.io_wait = std::clamp(0.01 + r.normal(0.0, 0.004), 0.0, 0.2);
   return sample;

@@ -34,11 +34,12 @@ std::uint32_t condition_cache::register_link(link_index l) {
   slot_of_[l.value] = slot;
   const link_info& info = net_->topo->link_at(l);
   links_.push_back({l, info.load_profile, info.capacity, info.kind});
-  table_.resize(2 * links_.size());
   all_slots_.push_back(slot);
-  // Registration happens before replay, so clearing every stamp costs
+  // Registration happens before replay, so dropping the ring costs
   // nothing measurable and keeps "registered set changed" a full reset.
-  stamp_.assign(links_.size(), kUnstamped);
+  // The next prefill allocates it at its final size in one go.
+  std::vector<entry>().swap(ring_);
+  ring_slots_ = 0;
   return slot;
 }
 
@@ -53,34 +54,41 @@ void condition_cache::register_path(const route_path& path,
   if (path.dst_access) add(path.dst_access->link);
 }
 
-void condition_cache::fill_slot(std::size_t slot, hour_stamp at) {
+void condition_cache::fill_entry(std::uint32_t slot, hour_stamp at) {
   const registered_link& reg = links_[slot];
-  table_[2 * slot] =
-      net_->load->condition(reg.load_profile, reg.link, link_dir::a_to_b, at,
-                            reg.capacity, reg.kind);
-  table_[2 * slot + 1] =
-      net_->load->condition(reg.load_profile, reg.link, link_dir::b_to_a, at,
-                            reg.capacity, reg.kind);
+  entry& e = ring_[ring_index(at.hours_since_epoch()) * ring_slots_ + slot];
+  e.dirs[0] = net_->load->condition(reg.load_profile, reg.link,
+                                    link_dir::a_to_b, at, reg.capacity,
+                                    reg.kind);
+  e.dirs[1] = net_->load->condition(reg.load_profile, reg.link,
+                                    link_dir::b_to_a, at, reg.capacity,
+                                    reg.kind);
 }
 
 void condition_cache::prefill(hour_stamp at,
                               std::span<const std::uint32_t> slots,
                               thread_pool* pool) {
+  if (ring_slots_ != links_.size()) {
+    ring_.assign(static_cast<std::size_t>(kRingHours) * links_.size(),
+                 entry{});
+    ring_slots_ = links_.size();
+  }
   // Stamping while collecting also drops repeated slots from the list.
-  // No reader is live during a prefill, so stamping a slot before its
-  // entries are written cannot be observed.
+  // No reader is live during a prefill, so stamping an entry before its
+  // conditions are written cannot be observed.
   const std::int64_t hour = at.hours_since_epoch();
+  entry* const hour_entries = ring_.data() + ring_index(hour) * ring_slots_;
   pending_.clear();
   for (const std::uint32_t slot : slots) {
-    if (stamp_[slot] == hour) continue;
-    stamp_[slot] = hour;
+    if (hour_entries[slot].stamp == hour) continue;
+    hour_entries[slot].stamp = hour;
     pending_.push_back(slot);
   }
   if (pool != nullptr && pending_.size() > 1) {
     pool->parallel_for(pending_.size(),
-                       [&](std::size_t i) { fill_slot(pending_[i], at); });
+                       [&](std::size_t i) { fill_entry(pending_[i], at); });
   } else {
-    for (const std::uint32_t slot : pending_) fill_slot(slot, at);
+    for (const std::uint32_t slot : pending_) fill_entry(slot, at);
   }
   prefills_->add(1);
   prefill_links_->add(pending_.size());

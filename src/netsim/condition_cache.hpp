@@ -1,4 +1,5 @@
-// Hour-stamped cache of link conditions for the campaign replay hot loop.
+// Day-deep, hour-stamped cache of link conditions for the campaign
+// replay hot loop.
 //
 // link_load_model::condition() is a pure function of
 // (profile, link, dir, hour), but it costs transcendental math (Box-Muller
@@ -6,28 +7,39 @@
 // the campaign replay re-evaluates it for every hop of every session's two
 // paths — even though cloud-WAN, interconnect and transit-backbone links
 // are shared by hundreds of sessions in the same region. This cache
-// memoizes conditions for a registered set of links: a dense 2 x links
-// table of link_condition keyed by (link slot, dir), where every slot
-// carries its own stamp — the hour its two entries were filled for.
+// memoizes conditions for a registered set of links. Every link slot has
+// a ring of kRingHours entries, one simulated day, and the entry for hour
+// h sits at floor-mod(h, kRingHours). An entry holds the slot's two
+// link_conditions [a_to_b, b_to_a] and its own stamp: the hour it was
+// filled for.
+//
+// The ring is a day deep because replay is campaign-major: day by day,
+// each campaign's 24 hours in turn. A slot that two campaigns share is
+// filled by the first campaign to reach an hour, and the next campaign
+// finds its whole day still stamped. On paper_6region (six regions, seed
+// 1) that is 840 fills per simulated hour, one per distinct slot; a ring
+// one hour deep refilled shared slots for every campaign, 1,277 fills.
 //
 // Usage contract (what keeps replay deterministic AND data-race free):
 //  * register_link / register_path run at deployment time, before any
-//    worker exists. Registration is idempotent; adding a slot clears
-//    every stamp.
-//  * prefill(at, slots) fills the listed slots for one hour, skipping
-//    slots already stamped for `at`; prefill(at) does the same over every
-//    registered slot. Several campaigns share one cache (one per
-//    network_view), and each prefills only the slots its own sessions'
-//    paths cross. Prefill is called by a replay coordinator at the top of
-//    a simulated hour, while no worker is evaluating (optionally fanning
-//    the fills out across an idle thread_pool — slots are disjoint, so
-//    scheduling cannot change any value).
+//    worker exists. Registration is idempotent; adding a slot drops the
+//    ring, so every entry is unstamped again. The ring is allocated at
+//    its final size by the next prefill, not grown slot by slot.
+//  * prefill(at, slots) fills the listed slots' entries for one hour,
+//    skipping entries already stamped for `at`; prefill(at) does the same
+//    over every registered slot. Several campaigns share one cache (one
+//    per network_view), and each prefills only the slots its own
+//    sessions' paths cross. Prefill is called by a replay coordinator at
+//    the top of a simulated hour, while no worker is evaluating
+//    (optionally fanning the fills out across an idle thread_pool —
+//    entries are disjoint, so scheduling cannot change any value). A fill
+//    for hour h overwrites the entry that held h - kRingHours.
 //  * lookup() is read-only and lock-free; workers call it concurrently
-//    during the hour. It checks the stamp of the slot it reads: a miss
-//    (unregistered link, or a slot not stamped for the requested hour)
+//    during the hour. It checks the stamp of the entry it reads: a miss
+//    (unregistered link, or an entry not stamped for the requested hour)
 //    returns nullptr and the caller falls back to the direct computation
-//    — which yields bit-identical values, because every stamped slot holds
-//    exactly condition()'s outputs for its hour. No call order can
+//    — which yields bit-identical values, because every stamped entry
+//    holds exactly condition()'s outputs for its hour. No call order can
 //    therefore serve another hour's value.
 //
 // The prefill-then-read phase split means no entry is ever written while
@@ -79,9 +91,12 @@ class condition_cache {
 
   std::size_t registered_count() const { return links_.size(); }
 
+  // Hours of one slot's ring: one simulated day.
+  static constexpr std::int64_t kRingHours = 24;
+
   // Fill both directions of each listed slot for hour `at`, skipping
-  // slots already stamped for `at` (so a slot shared by several callers
-  // is computed once per hour). Every slot must be below
+  // slots whose entry is already stamped for `at` (so a slot shared by
+  // several callers is computed once per hour). Every slot must be below
   // registered_count(). Coordinator-only, with no concurrent readers.
   // When `pool` is non-null the fills fan out across it (one index per
   // slot; entries are disjoint, values schedule-independent).
@@ -93,8 +108,8 @@ class condition_cache {
   }
 
   // The cached condition of (l, dir) at `at`, or nullptr when the link is
-  // unregistered or its slot is not stamped for `at`. Safe to call from
-  // many threads between prefills.
+  // unregistered or its ring entry for `at` holds another hour (or none).
+  // Safe to call from many threads between prefills.
   const link_condition* lookup(link_index l, link_dir dir,
                                hour_stamp at) const {
     const std::uint32_t s = slot(l);
@@ -112,13 +127,22 @@ class condition_cache {
     return l.value < slot_of_.size() ? slot_of_[l.value] : kNoSlot;
   }
 
-  // The two entries [a_to_b, b_to_a] of `slot`, or nullptr when the slot
-  // is not stamped for `at`. The check lookup() performs, minus the
-  // link -> slot step: a batch sweep that resolved its hops to slots
-  // calls this once per hop.
+  // The two conditions [a_to_b, b_to_a] of `slot` at `at`, or nullptr
+  // when the slot's ring entry for `at` holds another hour. The check
+  // lookup() performs, minus the link -> slot step: a batch sweep that
+  // resolved its hops to slots calls this once per hop.
   const link_condition* slot_pair(std::uint32_t slot, hour_stamp at) const {
-    return stamp_[slot] == at.hours_since_epoch() ? &table_[2 * slot]
-                                                  : nullptr;
+    if (slot >= ring_slots_) return nullptr;  // ring not allocated yet
+    const std::int64_t hour = at.hours_since_epoch();
+    const entry& e = ring_[ring_index(hour) * ring_slots_ + slot];
+    return e.stamp == hour ? e.dirs : nullptr;
+  }
+
+  // floor-mod(hour, kRingHours): the ring position of `hour`, also for
+  // hours before the epoch.
+  static std::size_t ring_index(std::int64_t hour) {
+    const std::int64_t r = hour % kRingHours;
+    return static_cast<std::size_t>(r < 0 ? r + kRingHours : r);
   }
 
   // Batched hit/miss accounting. lookup() itself stays metric-free so the
@@ -149,16 +173,25 @@ class condition_cache {
     link_kind kind{link_kind::backbone};
   };
 
-  void fill_slot(std::size_t slot, hour_stamp at);
-
-  // Stamp of a slot that holds no hour's data.
+  // Stamp of an entry that holds no hour's data.
   static constexpr std::int64_t kUnstamped = INT64_MIN;
+
+  // One slot's conditions for one hour.
+  struct entry {
+    link_condition dirs[2];  // [a_to_b, b_to_a]
+    std::int64_t stamp{kUnstamped};  // the hour they hold
+  };
+
+  void fill_entry(std::uint32_t slot, hour_stamp at);
 
   const internet* net_;
   std::vector<std::uint32_t> slot_of_;  // link.value -> slot or kNoSlot
   std::vector<registered_link> links_;  // slot -> link + static attributes
-  std::vector<link_condition> table_;   // 2 per slot: [a_to_b, b_to_a]
-  std::vector<std::int64_t> stamp_;     // slot -> hour it holds, or kUnstamped
+  // kRingHours x ring_slots_ entries, hour-major: the entries of one hour
+  // are contiguous, so an hour's prefill and sweep touch one block.
+  // Empty (ring_slots_ == 0) until the first prefill after registration.
+  std::vector<entry> ring_;
+  std::size_t ring_slots_{0};
   std::vector<std::uint32_t> all_slots_;  // 0 .. registered_count() - 1
   std::vector<std::uint32_t> pending_;    // prefill scratch: slots to fill
 

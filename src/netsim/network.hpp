@@ -81,7 +81,7 @@ class path_arena {
   // Append a path; returns its index. Paths are evaluated in add() order.
   std::size_t add(const flat_path& path);
 
-  // Map each hop to its condition-table entry 2*slot + dir_bit (or
+  // Map each hop to 2*slot + dir_bit, its cache slot and direction (or
   // kUnresolved). Coordinator-only; idempotent.
   void resolve(const condition_cache& cache);
 

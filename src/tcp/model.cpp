@@ -99,11 +99,53 @@ millis run_latency_probe(const path_metrics& path, unsigned probes,
   if (probes == 0) {
     throw invalid_argument_error("run_latency_probe: zero probes");
   }
+  // One probe: server think time 0.3 + Exp(2) plus queue jitter Exp(1),
+  // each exponential drawn as -log(u) / rate from u in (0, 1).
+  const double rtt = path.rtt.value;
+  const auto probe_ms = [rtt](double u1, double u2) {
+    const double think_ms = 0.3 + -std::log(u1) / 2.0;  // server overhead
+    const double jitter_ms = -std::log(u2) / 1.0;       // queue jitter
+    return rtt + think_ms + jitter_ms;
+  };
   double best = 1e18;
+  if (probes > kLatencyProbeBuffer || !(std::abs(rtt) < 1e5)) {
+    for (unsigned i = 0; i < probes; ++i) {
+      const double u1 = noise.uniform_positive();
+      const double u2 = noise.uniform_positive();
+      best = std::min(best, probe_ms(u1, u2));
+    }
+    return millis{best};
+  }
+
+  // A probe's value is rtt + 0.3 - ln(u1 * u2^2) / 2, so the smallest
+  // belongs to the largest w = u1 * u2^2; only probes whose computed w is
+  // within a relative 1e-9 of the largest are evaluated, by the same
+  // expression as above. Why no other probe can hold the minimum:
+  //  * u >= 2^-53, so -log(u) <= 36.8, and log errs by under one ulp
+  //    there: under 2^-47 per log.
+  //  * With |rtt| < 1e5 every partial sum stays below 2^17, so each of
+  //    the three additions rounds by at most 2^-36. A computed probe
+  //    value is within 3e-11 ms of the exact one.
+  //  * w and the cut-off are each off by a few ulps (relative 1e-15), so
+  //    a skipped probe's exact w is below w_max * (1 - 0.999e-9). Its
+  //    exact value is then above the w_max probe's by more than 4.99e-10
+  //    ms, and its computed value still by more than 4.3e-10 ms.
+  // The w_max probe is always evaluated, so the minimum is the same
+  // double. Values are finite and never -0.0, so min() cannot pick
+  // between distinct bit patterns of equal values.
+  double u1[kLatencyProbeBuffer];
+  double u2[kLatencyProbeBuffer];
+  double w[kLatencyProbeBuffer];
+  double w_max = 0.0;
   for (unsigned i = 0; i < probes; ++i) {
-    const double think_ms = 0.3 + noise.exponential(2.0);  // server overhead
-    const double jitter_ms = noise.exponential(1.0);       // queue jitter
-    best = std::min(best, path.rtt.value + think_ms + jitter_ms);
+    u1[i] = noise.uniform_positive();
+    u2[i] = noise.uniform_positive();
+    w[i] = u1[i] * u2[i] * u2[i];
+    w_max = std::max(w_max, w[i]);
+  }
+  const double w_floor = w_max * (1.0 - 1e-9);
+  for (unsigned i = 0; i < probes; ++i) {
+    if (w[i] >= w_floor) best = std::min(best, probe_ms(u1[i], u2[i]));
   }
   return millis{best};
 }

@@ -61,4 +61,9 @@ flow_result run_speedtest_flow(const path_metrics& path,
 millis run_latency_probe(const path_metrics& path, unsigned probes,
                          rng& noise);
 
+// Up to this many probes, run_latency_probe ranks them from their draws
+// and takes logarithms only for the few that can be the minimum; more
+// probes take the plain one-log-per-draw loop. Same results either way.
+inline constexpr unsigned kLatencyProbeBuffer = 32;
+
 }  // namespace clasp

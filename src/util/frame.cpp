@@ -1,7 +1,7 @@
 #include "util/frame.hpp"
 
+#include <filesystem>
 #include <fstream>
-#include <iterator>
 
 #include "util/error.hpp"
 
@@ -67,10 +67,16 @@ void write_crc_file(const std::string& path, std::string_view payload) {
 }
 
 std::string read_crc_file(const std::string& path) {
+  // Sized from the file and read in one call. Anything but a regular
+  // file (a directory, say) reads as empty, hence "truncated", rather
+  // than as the size its seek reports.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
   std::ifstream in(path, std::ios::binary);
   if (!in) throw not_found_error("cannot read " + path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+  std::string content(ec ? 0 : static_cast<std::size_t>(size), '\0');
+  in.read(content.data(), static_cast<std::streamsize>(content.size()));
+  content.resize(static_cast<std::size_t>(in.gcount()));
   content.resize(check_crc_trailer(content, path).size());
   return content;
 }

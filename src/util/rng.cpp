@@ -7,14 +7,6 @@
 
 namespace clasp {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -37,25 +29,8 @@ rng::rng(std::uint64_t seed) : seed_(seed) {
   for (auto& word : state_) word = splitmix64(s);
 }
 
-rng::result_type rng::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 rng rng::fork(std::string_view tag) const {
   return rng(hash_tag(seed_ ^ state_[3], tag));
-}
-
-double rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double rng::uniform(double lo, double hi) {
@@ -82,12 +57,13 @@ bool rng::bernoulli(double p) {
 }
 
 double rng::normal() {
-  // Box-Muller; draw u1 away from zero to keep log() finite.
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
+  // Draw u1 away from zero to keep log() finite.
+  const double u1 = uniform_positive();
   const double u2 = uniform();
+  return box_muller(u1, u2);
+}
+
+double rng::box_muller(double u1, double u2) {
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
 }
@@ -102,11 +78,7 @@ double rng::lognormal(double mu, double sigma) {
 
 double rng::exponential(double rate) {
   if (rate <= 0.0) throw invalid_argument_error("exponential: rate <= 0");
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
+  return -std::log(uniform_positive()) / rate;
 }
 
 double rng::pareto(double lo, double hi, double alpha) {

@@ -33,15 +33,38 @@ class rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
 
-  // Raw 64-bit draw (UniformRandomBitGenerator interface).
-  result_type operator()();
+  // Raw 64-bit draw (UniformRandomBitGenerator interface). Inline, like
+  // uniform(), so draw loops keep the state in registers.
+  result_type operator()() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   // Derive an independent child generator. Children with distinct tags
   // (or distinct parent states) produce decorrelated streams.
   rng fork(std::string_view tag) const;
 
   // Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
+  // Uniform double in (0, 1): redraws while the draw is 0, as normal()
+  // and exponential() do to keep log() finite.
+  double uniform_positive() {
+    double u;
+    do {
+      u = uniform();
+    } while (u <= 0.0);
+    return u;
+  }
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi);
   // Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
@@ -50,6 +73,10 @@ class rng {
   bool bernoulli(double p);
   // Standard normal via Box-Muller (no cached spare: keeps fork cheap).
   double normal();
+  // The Box-Muller transform normal() applies to its two draws, u1 from
+  // uniform_positive() and then u2 from uniform(). Exposed so a caller
+  // that needs only part of the result can draw the same pair itself.
+  static double box_muller(double u1, double u2);
   // Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
   // Log-normal parameterized by the *underlying* normal's mu/sigma.
@@ -87,6 +114,10 @@ class rng {
   std::uint64_t seed() const { return seed_; }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t seed_;
   std::uint64_t state_[4];
 };

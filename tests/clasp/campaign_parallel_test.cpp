@@ -536,10 +536,10 @@ TEST(CampaignParallelTest, CampaignScopedPrefillKeepsSharedCacheExact) {
     expect_costs_near(cm.costs, sum);
 
     // Each replayed hour fills the campaign's own slots, minus those the
-    // other campaign already filled for the same hour. That happens only
-    // to the second campaign in hour-major order: in campaign-major
-    // order the second campaign's previous hour has restamped the shared
-    // slots by the time it reaches any hour the first one filled.
+    // other campaign already filled for the same hour. That happens to
+    // the second campaign in both orders: the cache keeps a day of hours
+    // per slot, so in campaign-major order the first campaign's fills of
+    // the day are all still stamped when the second one replays it.
     const std::size_t hours = static_cast<std::size_t>(two_days().count());
     for (int c = 0; c < 2; ++c) {
       ASSERT_EQ(alone[c]->fills[c].size(), hours);
@@ -554,7 +554,7 @@ TEST(CampaignParallelTest, CampaignScopedPrefillKeepsSharedCacheExact) {
       EXPECT_EQ(hm.fills[0][h], a);
       EXPECT_EQ(hm.fills[1][h], b - shared);
       EXPECT_EQ(cm.fills[0][h], a);
-      EXPECT_EQ(cm.fills[1][h], b);
+      EXPECT_EQ(cm.fills[1][h], b - shared);
     }
 
     // The worker count changes nothing, costs included.

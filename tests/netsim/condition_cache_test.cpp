@@ -241,6 +241,104 @@ TEST_F(ConditionCacheTest, OverlappingPrefillsFillSharedSlotsOnce) {
   obs::set_enabled(false);
 }
 
+// --- the day-deep ring --------------------------------------------------
+// Each slot keeps kRingHours hours, so campaigns replayed one after the
+// other over the same day find each other's fills; the stamp of the
+// entry read still decides every hit.
+
+TEST_F(ConditionCacheTest, DayOfHoursStaysStampedSoRefillsAreFree) {
+  obs::set_enabled(true);
+  condition_cache cache(&net_);
+  std::vector<std::uint32_t> a;
+  cache.register_path(path_, &a);
+  a = sorted_distinct(a);
+  ASSERT_EQ(condition_cache::kRingHours, 24);
+
+  const hour_stamp h = hour_stamp::from_civil({2020, 6, 20}, 7);
+  const std::uint64_t before = prefill_links_total();
+  for (int k = 0; k < condition_cache::kRingHours; ++k) cache.prefill(h + k, a);
+  EXPECT_EQ(prefill_links_total() - before,
+            condition_cache::kRingHours * a.size());
+  // A second pass over the same day, as the next campaign replays it,
+  // fills nothing, and every hour still serves its own conditions.
+  for (int k = 0; k < condition_cache::kRingHours; ++k) cache.prefill(h + k, a);
+  cache.prefill(h);
+  EXPECT_EQ(prefill_links_total() - before,
+            condition_cache::kRingHours * a.size());
+  for (int k = 0; k < condition_cache::kRingHours; ++k) {
+    for (const link_index l : path_links(path_)) {
+      for (const link_dir dir : {link_dir::a_to_b, link_dir::b_to_a}) {
+        const link_condition* cached = cache.lookup(l, dir, h + k);
+        ASSERT_NE(cached, nullptr);
+        expect_same_condition(*cached, direct(l, dir, h + k));
+      }
+    }
+  }
+  obs::set_enabled(false);
+}
+
+TEST_F(ConditionCacheTest, HourADayLaterEvictsItsRingEntry) {
+  obs::set_enabled(true);
+  condition_cache cache(&net_);
+  std::vector<std::uint32_t> a;
+  cache.register_path(path_, &a);
+  a = sorted_distinct(a);
+
+  const hour_stamp h = hour_stamp::from_civil({2020, 6, 20}, 7);
+  const hour_stamp next_day = h + condition_cache::kRingHours;
+  cache.prefill(h, a);
+  // Same ring position, another hour: a miss, never h's values.
+  for (const std::uint32_t slot : a) {
+    EXPECT_EQ(cache.slot_pair(slot, next_day), nullptr);
+  }
+  const std::uint64_t before = prefill_links_total();
+  cache.prefill(next_day, a);
+  EXPECT_EQ(prefill_links_total() - before, a.size());
+  for (const link_index l : path_links(path_)) {
+    for (const link_dir dir : {link_dir::a_to_b, link_dir::b_to_a}) {
+      EXPECT_EQ(cache.lookup(l, dir, h), nullptr);
+      const link_condition* cached = cache.lookup(l, dir, next_day);
+      ASSERT_NE(cached, nullptr);
+      expect_same_condition(*cached, direct(l, dir, next_day));
+    }
+  }
+  // Back to h: refilled, since its entry now holds the next day.
+  cache.prefill(h, a);
+  EXPECT_EQ(prefill_links_total() - before, 2 * a.size());
+  obs::set_enabled(false);
+}
+
+TEST_F(ConditionCacheTest, RingIndexIsFloorModAlsoBeforeTheEpoch) {
+  EXPECT_EQ(condition_cache::ring_index(0), 0u);
+  EXPECT_EQ(condition_cache::ring_index(23), 23u);
+  EXPECT_EQ(condition_cache::ring_index(24), 0u);
+  EXPECT_EQ(condition_cache::ring_index(-1), 23u);
+  EXPECT_EQ(condition_cache::ring_index(-24), 0u);
+  EXPECT_EQ(condition_cache::ring_index(-25), 23u);
+  EXPECT_EQ(condition_cache::ring_index(INT64_MIN + 1),
+            static_cast<std::size_t>(
+                ((INT64_MIN + 1) % 24 + 24) % 24));
+
+  condition_cache cache(&net_);
+  cache.register_path(path_);
+  const link_index l = path_links(path_).front();
+  const hour_stamp before_epoch{-1};
+  cache.prefill(before_epoch);
+  const link_condition* cached =
+      cache.lookup(l, link_dir::a_to_b, before_epoch);
+  ASSERT_NE(cached, nullptr);
+  expect_same_condition(*cached, direct(l, link_dir::a_to_b, before_epoch));
+  // Hours 23 and -25 share the entry of hour -1 and miss.
+  EXPECT_EQ(cache.lookup(l, link_dir::a_to_b, hour_stamp{23}), nullptr);
+  EXPECT_EQ(cache.lookup(l, link_dir::a_to_b, hour_stamp{-25}), nullptr);
+  cache.prefill(hour_stamp{-25});
+  EXPECT_EQ(cache.lookup(l, link_dir::a_to_b, before_epoch), nullptr);
+  cached = cache.lookup(l, link_dir::a_to_b, hour_stamp{-25});
+  ASSERT_NE(cached, nullptr);
+  expect_same_condition(*cached,
+                        direct(l, link_dir::a_to_b, hour_stamp{-25}));
+}
+
 TEST_F(ConditionCacheTest, MissesReturnNull) {
   condition_cache cache(&net_);
   cache.register_path(path_);

@@ -139,6 +139,20 @@ TEST(Frame, CrcFilesRoundTripAndFailTyped) {
   EXPECT_THROW(read_crc_file((dir / "missing").string()), not_found_error);
   EXPECT_THROW(write_crc_file((dir / "no" / "dir").string(), "x"),
                storage_error);
+  // Empty files and directories read as truncated, never as the size a
+  // directory's seek reports.
+  write_crc_file(path, "");
+  EXPECT_EQ(read_crc_file(path), "");
+  fs::resize_file(path, 0);
+  EXPECT_THROW(read_crc_file(path), invalid_argument_error);
+  EXPECT_THROW(read_crc_file(dir.string()), invalid_argument_error);
+  // A payload of several MiB comes back whole.
+  std::string big(3u << 20, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>(i * 131u >> 3);
+  }
+  write_crc_file(path, big);
+  EXPECT_EQ(read_crc_file(path), big);
   fs::remove_all(dir);
 }
 
