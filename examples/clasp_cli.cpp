@@ -105,7 +105,7 @@ void usage() {
                "  --checkpoint-dir DIR  checkpoint the campaign under DIR "
                "as it runs; Ctrl-C then stops cleanly at the next hour\n"
                "  --checkpoint-every H  hours between checkpoints "
-               "(default 24; hours in between are WAL-covered)\n"
+               "(default 24; a resume re-runs the hours since the last one)\n"
                "  --resume      continue a killed run from DIR's latest "
                "checkpoint; output is byte-identical to an uninterrupted "
                "run\n"
@@ -116,7 +116,7 @@ void usage() {
                "  --metrics-out FILE    write Prometheus metrics to FILE "
                "(and JSON to FILE.json) when the command finishes\n"
                "  --heartbeat-every H   log one progress line every H "
-               "simulated hours (cursor, tests, cache hits, WAL bytes)\n"
+               "simulated hours (cursor, tests, cache hits, checkpoint age)\n"
                "service mode: clasp_cli <serve|submit|status|pause|resume|"
                "cancel|shutdown> [--socket PATH]\n"
                "  serve         run the campaign service daemon (SIGINT/"

@@ -228,10 +228,10 @@ bool campaign_runner::run(const hour_step& step) {
 
 bool campaign_runner::run_until(hour_stamp stop, const hour_step& step) {
   if (!deployed_) throw state_error("campaign_runner: not deployed");
-  // First durable hour: anchor the log with a checkpoint (possibly the
-  // window-begin one) so WAL replay always has a base snapshot. resume()
-  // already wrote one and opened the WAL.
-  if (durable() && wal_ == nullptr) checkpoint(config_.checkpoint_dir);
+  // First durable hour: anchor the run with a base checkpoint (possibly
+  // the window-begin one), so every later publish has a base to build on.
+  // resume() already read one.
+  if (durable() && !published_) checkpoint(config_.checkpoint_dir);
   const std::int64_t begin = config_.window.begin_at.hours_since_epoch();
   while (cursor_ < stop) {
     if (interrupt_.load(std::memory_order_relaxed)) {
@@ -359,19 +359,8 @@ void campaign_runner::prepare_hour(hour_stamp at, thread_pool* pool) {
   evaluate_hour(at, pool);
 }
 
-void campaign_runner::commit_slot(std::size_t vm_slot,
-                                  vm_hour_staging&& staged) {
-  // Durable runs log each staged record before committing it. Workers
-  // never touch the log: the coordinator appends in slot order at the
-  // hour barrier, so the WAL's (hour asc, slot asc) order is a structural
-  // invariant replay can rely on.
-  if (wal_) wal_->append(encode_wal_record(vm_slot, staged));
-  commit_vm_hour(vm_slot, std::move(staged));
-}
-
 void campaign_runner::close_hour(hour_stamp at,
                                  hour_clock::time_point started) {
-  if (wal_) wal_->flush();  // the hour's durability point
   cursor_ = at + 1;
   if (started != hour_clock::time_point{}) {
     publish_hour_metrics(
@@ -398,7 +387,7 @@ void campaign_runner::run_hour(hour_stamp at) {
     }
     const obs::trace_span span(obs::phase::commit, h);
     for (std::size_t v = 0; v < vms_.size(); ++v) {
-      commit_slot(v, std::move(staging_[v]));
+      commit_vm_hour(v, std::move(staging_[v]));
     }
   } else {
     // Serial replay commits each VM right after staging it: identical
@@ -408,7 +397,7 @@ void campaign_runner::run_hour(hour_stamp at) {
     const obs::trace_span span(obs::phase::stage, h);
     for (std::size_t v = 0; v < vms_.size(); ++v) {
       stage_vm_hour_into(v, at, staging_[v]);
-      commit_slot(v, std::move(staging_[v]));
+      commit_vm_hour(v, std::move(staging_[v]));
     }
   }
   close_hour(at, started);
@@ -481,12 +470,12 @@ void campaign_runner::commit_hour_group(hour_stamp at,
     const obs::trace_span span(obs::phase::begin_hour, h);
     begin_hour(at);
   }
-  // Same commit phase as run_hour, so the durable bytes and the store
-  // bytes cannot depend on which process staged the records.
+  // Same commit phase as run_hour, so the store bytes cannot depend on
+  // which process staged the records.
   {
     const obs::trace_span span(obs::phase::commit, h);
     for (std::size_t v = 0; v < vms_.size(); ++v) {
-      commit_slot(v, std::move(group[v]));
+      commit_vm_hour(v, std::move(group[v]));
     }
   }
   close_hour(at, started);
@@ -537,21 +526,13 @@ void campaign_runner::emit_heartbeat() const {
       static_cast<unsigned long long>(metrics_.test_retries->value()),
       tests_missed_, 100.0 * hit_ratio, registry_->size(), vms_.size(),
       sessions_.size(), batch_groups_);
-  if (wal_ != nullptr && len > 0 &&
-      static_cast<std::size_t>(len) < sizeof(line)) {
-    len += std::snprintf(
-        line + len, sizeof(line) - static_cast<std::size_t>(len),
-        " wal_mb=%.2f",
-        static_cast<double>(wal_->bytes_written()) / (1024.0 * 1024.0));
-  }
   if (durable() && last_checkpoint_hour_ >= 0 && len > 0 &&
       static_cast<std::size_t>(len) < sizeof(line)) {
     len += std::snprintf(
         line + len, sizeof(line) - static_cast<std::size_t>(len),
-        " ckpt_age_h=%lld ckpt_segs=%zu",
+        " ckpt_age_h=%lld",
         static_cast<long long>(cursor_.hours_since_epoch() -
-                               last_checkpoint_hour_),
-        published_ ? published_->segments.size() : std::size_t{0});
+                               last_checkpoint_hour_));
   }
   if (pool_ && len > 0 && static_cast<std::size_t>(len) < sizeof(line)) {
     len += std::snprintf(

@@ -94,7 +94,7 @@ struct platform_config {
   // resumes via campaign_runner::resume. Empty disables durability (see
   // campaign_config). The platform refuses to hand the same subdirectory
   // to two campaigns (state_error): two writers would silently
-  // interleave WAL records and corrupt both.
+  // overwrite each other's checkpoints.
   std::string campaign_checkpoint_dir;
   // Extra path segment between the root and <label>-<region>. The
   // campaign service sets it per (tenant, campaign id) so tenants

@@ -211,7 +211,9 @@ void vantage_swarm::load_state(binary_reader& in) {
   const std::size_t months = static_cast<std::size_t>(in.varint());
   for (std::size_t i = 0; i < months; ++i) {
     const int month = static_cast<int>(in.svarint());
-    std::vector<std::uint32_t> used(static_cast<std::size_t>(in.varint()));
+    // One varint per probe, so a corrupt count is refused before it
+    // sizes anything.
+    std::vector<std::uint32_t> used(in.count(1));
     for (std::uint32_t& u : used) u = static_cast<std::uint32_t>(in.varint());
     if (used.size() != probes().size()) {
       throw state_error("vantage_swarm: probe count mismatch in ledger");

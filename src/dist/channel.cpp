@@ -16,7 +16,7 @@ namespace clasp::dist {
 
 namespace {
 
-// A group frame carries one hour of one shard's WAL records — a few
+// A group frame carries one hour of one shard's VM-hour records — a few
 // kilobytes per VM. Anything near this bound is a corrupted length
 // field, not a real message.
 constexpr std::uint32_t kMaxFrameBytes = 1u << 26;

@@ -353,7 +353,7 @@ bool shard_coordinator::run() {
 }
 
 bool shard_coordinator::drive(hour_stamp stop, bool whole_window) {
-  // The campaign's own loop keeps the durability cadence (WAL anchor,
+  // The campaign's own loop keeps the durability cadence (anchor,
   // interrupt check, periodic checkpoints and, for the whole window, the
   // storage bill and final checkpoint); each of its hours is one
   // barrier here. Workers are forked at the first barrier, so a call

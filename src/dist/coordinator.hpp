@@ -3,7 +3,7 @@
 // One campaign, N worker processes. The coordinator partitions the VM
 // fleet into contiguous slot ranges, forks one worker per shard, and
 // advances the campaign one hour barrier at a time: every shard ships
-// its hour's WAL-record group over a framed channel, the coordinator
+// its hour's VM-hour record group over a framed channel, the coordinator
 // assembles the full fleet group in slot order and commits it through
 // campaign_runner::commit_hour_group — the same bytes, in the same
 // order, as a single-process run_hour. Output is therefore
@@ -22,7 +22,7 @@
 //     ever redone and nothing pending is ever lost.
 //
 // The coordinator drives its barriers through the campaign's own
-// run/run_until loop, so the durability cadence (first-hour WAL anchor,
+// run/run_until loop, so the durability cadence (first-hour anchor,
 // checkpoint_every_hours, final storage bill + checkpoint) is the same
 // code as a single-process run and `clasp_cli --shards N` runs are
 // resumable exactly like single-process ones. Everything is observable as clasp_dist_* metric

@@ -6,7 +6,7 @@
 //   worker → coordinator   hello      shard, slot range, start hour,
 //                                     campaign fingerprint
 //   worker → coordinator   heartbeat  shard, hour being staged
-//   worker → coordinator   hour_group shard, hour, encoded WAL records
+//   worker → coordinator   hour_group shard, hour, encoded VM-hour records
 //                                     for every slot in the shard
 //   coordinator → worker   ack        hour committed — advance
 //   coordinator → worker   resend     hour's group was damaged — send it
@@ -47,7 +47,7 @@ struct dist_message {
   std::uint64_t fingerprint{0};
   std::uint32_t slot_begin{0};
   std::uint32_t slot_end{0};
-  // hour_group only: one encoded WAL record per slot, ascending.
+  // hour_group only: one encoded VM-hour record per slot, ascending.
   std::vector<std::string> records;
 };
 

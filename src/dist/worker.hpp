@@ -12,7 +12,7 @@
 //   * pool threads do not survive fork, so the worker path is strictly
 //     serial (stage_shard_hour never touches the pool);
 //   * the child must leave via _exit — flushing streams inherited from
-//     the parent (the campaign WAL, log sinks) would interleave parent
+//     the parent (log sinks, open output files) would interleave parent
 //     buffers into parent files.
 #pragma once
 

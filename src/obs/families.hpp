@@ -51,10 +51,7 @@ inline constexpr const char* kCachePrefills = "clasp_cache_prefills_total";
 inline constexpr const char* kCachePrefillLinks =
     "clasp_cache_prefill_links_total";
 
-// TSDB + WAL (src/tsdb/).
-inline constexpr const char* kWalAppends = "clasp_wal_appends_total";
-inline constexpr const char* kWalBytes = "clasp_wal_bytes_total";
-inline constexpr const char* kWalFlushes = "clasp_wal_flushes_total";
+// TSDB (src/tsdb/).
 inline constexpr const char* kTsdbSnapshots = "clasp_tsdb_snapshots_total";
 inline constexpr const char* kTsdbSnapshotBytes =
     "clasp_tsdb_snapshot_bytes_total";
@@ -73,18 +70,17 @@ inline constexpr const char* kCheckpointLastHour =
     "clasp_checkpoint_last_hour";
 inline constexpr const char* kCheckpointPublishSeconds =
     "clasp_checkpoint_publish_seconds";
-// Bytes publishes made durable: the files each one wrote plus the WAL
-// segment it sealed. Deterministic for a given campaign and cadence.
+// Bytes publishes made durable: the files each one wrote (a base's
+// snapshot and state, the ledger, the manifest). Deterministic for a
+// given campaign and cadence.
 inline constexpr const char* kCheckpointBytesWritten =
     "clasp_checkpoint_bytes_written_total";
-// Full bases rewritten in a campaign's own directory after its anchor:
-// the sealed segments outgrew the base (geometric compaction), or
-// another campaign wrote the shared store since the last publish.
+// Full bases written in a campaign's own directory after its anchor:
+// the hours since the last base outgrew the hours it covers (geometric
+// bases), or another campaign wrote the shared store since the last
+// publish.
 inline constexpr const char* kCheckpointCompactions =
     "clasp_checkpoint_compactions_total";
-// Sealed segments the campaign's CURRENT manifest names.
-inline constexpr const char* kCheckpointSealedSegments =
-    "clasp_checkpoint_sealed_segments";
 
 // Fault injection: planned (from the deterministic schedule) vs observed
 // (what the replay actually recorded).

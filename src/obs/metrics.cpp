@@ -188,8 +188,7 @@ void register_core_families() {
         family::kCampaignTestsMissed, family::kCampaignPoints,
         family::kCampaignUploadFailures, family::kCacheHits,
         family::kCacheMisses, family::kCachePrefills,
-        family::kCachePrefillLinks, family::kWalAppends, family::kWalBytes,
-        family::kWalFlushes, family::kTsdbSnapshots,
+        family::kCachePrefillLinks, family::kTsdbSnapshots,
         family::kTsdbSnapshotBytes, family::kTsdbRestores,
         family::kCheckpointPublishes, family::kCheckpointGcRemoved,
         family::kCheckpointResumes, family::kCheckpointBytesWritten,
@@ -214,8 +213,7 @@ void register_core_families() {
         family::kCampaignSessions, family::kPoolWorkers, family::kPoolBatches,
         family::kPoolTasks, family::kPoolBusySeconds,
         family::kPoolLastBatchSize, family::kPoolUtilization,
-        family::kCheckpointLastHour, family::kCheckpointSealedSegments,
-        family::kFaultsPlannedWithdrawals,
+        family::kCheckpointLastHour, family::kFaultsPlannedWithdrawals,
         family::kFaultsPlannedOutages, family::kFaultsPlannedOutageHours,
         family::kFleetServers, family::kFleetVms, family::kSessionsTotal,
         family::kBatchGroupsPerHour, family::kSwarmProbes,

@@ -7,8 +7,8 @@
 // two tenants submitting the same region can never interleave
 // checkpoints (the platform enforces this with a typed state_error).
 // run_quantum advances the campaign up to quantum_hours via run_until
-// (or a shard coordinator when the spec shards), which WAL-logs every
-// hour and checkpoints on the campaign cadence; the final quantum goes
+// (or a shard coordinator when the spec shards), which checkpoints on
+// the campaign cadence; the final quantum goes
 // through run() so storage is billed exactly once, like batch mode.
 // Output is therefore byte-identical to an uninterrupted batch run for
 // any quantum length, worker count or shard count.

@@ -12,7 +12,7 @@
 // Everything the daemon owns lives under service.state_dir:
 //
 //   <state_dir>/registry.bin        durable queue (CRC + tmp/rename)
-//   <state_dir>/ckpt/<tenant>-<id>/ per-campaign checkpoints + WAL
+//   <state_dir>/ckpt/<tenant>-<id>/ per-campaign checkpoints
 //
 // A kill -9 at any instant loses at most one checkpoint interval per
 // campaign: the registry snapshot is crash-atomic, admitted/running

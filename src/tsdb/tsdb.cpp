@@ -221,12 +221,21 @@ void tsdb::snapshot_to(const std::string& path) const {
 }
 
 void tsdb::restore_from(std::istream& is) {
+  const std::string content((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+  restore_payload(check_crc_trailer(content, "tsdb snapshot"));
+}
+
+void tsdb::restore_from(const std::string& path) {
+  // One sized read (read_crc_file) instead of a character stream: every
+  // resume starts here, with a snapshot of tens of megabytes.
+  restore_payload(read_crc_file(path));
+}
+
+void tsdb::restore_payload(std::string_view payload) {
   obs::metrics_registry::instance()
       .get_counter(obs::family::kTsdbRestores)
       .add(1);
-  const std::string content((std::istreambuf_iterator<char>(is)),
-                            std::istreambuf_iterator<char>());
-  const std::string_view payload = check_crc_trailer(content, "tsdb snapshot");
   binary_reader in(payload);
   if (in.u32() != kSnapshotMagic) {
     throw invalid_argument_error("tsdb: bad snapshot magic");
@@ -270,12 +279,6 @@ void tsdb::restore_from(std::istream& is) {
   series_ = std::move(series);
   index_ = std::move(index);
   by_metric_ = std::move(by_metric);
-}
-
-void tsdb::restore_from(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw not_found_error("tsdb: cannot read snapshot " + path);
-  restore_from(static_cast<std::istream&>(in));
 }
 
 std::size_t tsdb::point_count() const {

@@ -24,6 +24,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -292,11 +293,11 @@ class tsdb {
   // IEEE-754 bit patterns, the whole payload closed by a CRC32 trailer
   // (util/frame.hpp). snapshot_to streams series by series through the
   // codec's bounded buffer, so a snapshot never holds the payload in
-  // memory. restore_from
-  // replaces the store's contents, sizes each value column exactly, and
-  // throws invalid_argument_error on a corrupt, truncated or
-  // version-mismatched snapshot. The path overloads throw
-  // not_found_error when the file cannot be opened.
+  // memory. restore_from replaces the store's contents, sizes each value
+  // column exactly, and throws invalid_argument_error on a corrupt,
+  // truncated or version-mismatched snapshot. The path overloads throw
+  // not_found_error when the file cannot be opened; restore_from(path)
+  // reads the file in one sized read.
   void snapshot_to(std::ostream& os) const;
   void snapshot_to(const std::string& path) const;
   void restore_from(std::istream& is);
@@ -305,6 +306,8 @@ class tsdb {
  private:
   static std::string series_key(const std::string& metric,
                                 const tag_set& tags);
+  // The restore proper, over a payload whose CRC trailer was checked.
+  void restore_payload(std::string_view payload);
   [[noreturn]] static void throw_bad_ref();
 
   std::vector<ts_series> series_;

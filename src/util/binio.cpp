@@ -13,7 +13,7 @@ namespace {
 
 // Slicing-by-8 CRC32 (polynomial 0xEDB88320): table[s][b] advances a
 // byte b through s+1 zero bytes, letting the hot loop fold eight input
-// bytes per iteration. Checkpoint snapshots and WAL frames CRC every
+// bytes per iteration. Checkpoint snapshots and wire frames CRC every
 // payload, so this sits on the durability fast path.
 using crc_tables = std::array<std::array<std::uint32_t, 256>, 8>;
 

@@ -1,6 +1,6 @@
 // Bit-exact binary serialization primitives for durability code.
 //
-// The checkpoint/WAL layer must round-trip campaign state byte-for-byte:
+// The checkpoint layer must round-trip campaign state byte-for-byte:
 // doubles are carried as their IEEE-754 bit patterns (never reformatted
 // through text), integers as LEB128 varints, and strings length-prefixed
 // so arbitrary bytes (non-ASCII server names, embedded separators) are

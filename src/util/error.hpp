@@ -52,7 +52,7 @@ class storage_error : public error {
 };
 
 // Durable bytes failed an integrity check in a place crash-tearing cannot
-// explain (a CRC mismatch in the interior of a WAL, a corrupt frame on a
+// explain (a CRC mismatch on a complete frame, a corrupt frame on a
 // shard channel). Unlike a torn tail this is never silently dropped: the
 // reader refuses the data and the caller decides (re-request, restore
 // from a checkpoint, fail loudly).

@@ -4,13 +4,13 @@
 //   frame:   [u32 payload length][u32 crc32(payload)][payload bytes]
 //   trailer: [payload bytes][u32 crc32(payload)]
 //
-// Frames carry streams of records that a crash can tear or a transport
-// can damage: the write-ahead log and its sealed segments, the shard wire
-// and the service control socket. A trailer closes one whole file: the
-// TSDB snapshot, the checkpoint MANIFEST, state.bin and ledger.bin, the
-// service registry snapshot. The codec owns the layouts; what a torn or
-// damaged frame means (a torn tail to drop, a group to re-request, a
-// dead peer) is each caller's policy, decided from cut_frame's status.
+// Frames carry streams of records that a transport can tear or damage:
+// the shard wire and the service control socket. A trailer closes one
+// whole file: the TSDB snapshot, the checkpoint MANIFEST, state.bin and
+// ledger.bin, the service registry snapshot. The codec owns the layouts;
+// what a torn or damaged frame means (a partial read to wait on, a group
+// to re-request, a dead peer) is each caller's policy, decided from
+// cut_frame's status.
 #pragma once
 
 #include <cstddef>

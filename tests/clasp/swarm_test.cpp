@@ -237,6 +237,20 @@ TEST_F(SwarmTest, LedgersRoundTripTheWireFormat) {
   EXPECT_EQ(skip.varint(), 0xC0FFEEu);
 }
 
+TEST_F(SwarmTest, HostileProbeCountInLedgerIsTypedError) {
+  // A CRC-valid checkpoint ledger whose month claims 2^60 probe credits:
+  // load_state must refuse the count before sizing anything.
+  binary_writer out;
+  out.varint(0);  // speedchecker account months
+  out.varint(0);  // credits spent
+  out.varint(1);  // per-probe credit months
+  out.svarint(5);
+  out.varint(std::uint64_t{1} << 60);
+  vantage_swarm swarm(&planner_, &view_, always_online());
+  binary_reader in(out.bytes());
+  EXPECT_THROW(swarm.load_state(in), invalid_argument_error);
+}
+
 // --- scheduler integration through differential_selector ---
 
 differential_config small_pretest(std::size_t min_measurements = 20) {

@@ -337,7 +337,7 @@ TEST(CampaignDist, FailoverBudgetExhaustionAbortsTyped) {
 TEST(CampaignDist, DurableDistributedRunKilledAndResumedStaysIdentical) {
   // Cross-mode durability: a distributed run killed mid-window resumes
   // in a fresh process — and the resumed half runs distributed too. The
-  // coordinator mirrors run_until's checkpoint cadence, so the WAL and
+  // coordinator mirrors run_until's checkpoint cadence, so its
   // checkpoints are interchangeable with single-process ones.
   const fs::path root = test_dir();
   std::string ckpt_dir;

@@ -119,15 +119,18 @@ TEST_F(ObsMetricsTest, RegisterCoreFamiliesCoversTaxonomy) {
   const auto gauges = obs::metrics_registry::instance().gauges();
   const auto histograms = obs::metrics_registry::instance().histograms();
   // One representative per instrumented subsystem: campaign, pool,
-  // cache, TSDB/WAL, checkpoint, faults.
+  // cache, TSDB, checkpoint, faults. The retired write-ahead log and
+  // sealed-segment families stay gone.
   EXPECT_TRUE(counters.contains(obs::family::kCampaignTests));
   EXPECT_TRUE(counters.contains(obs::family::kCacheHits));
-  EXPECT_TRUE(counters.contains(obs::family::kWalBytes));
   EXPECT_TRUE(counters.contains(obs::family::kTsdbSnapshots));
   EXPECT_TRUE(counters.contains(obs::family::kCheckpointPublishes));
   EXPECT_TRUE(counters.contains(obs::family::kCheckpointBytesWritten));
   EXPECT_TRUE(counters.contains(obs::family::kCheckpointCompactions));
-  EXPECT_TRUE(gauges.contains(obs::family::kCheckpointSealedSegments));
+  EXPECT_FALSE(counters.contains("clasp_wal_appends_total"));
+  EXPECT_FALSE(counters.contains("clasp_wal_bytes_total"));
+  EXPECT_FALSE(counters.contains("clasp_wal_flushes_total"));
+  EXPECT_FALSE(gauges.contains("clasp_checkpoint_sealed_segments"));
   EXPECT_TRUE(counters.contains(obs::family::kFaultsPreempts));
   EXPECT_TRUE(gauges.contains(obs::family::kPoolUtilization));
   EXPECT_TRUE(gauges.contains(obs::family::kCampaignCursorHours));

@@ -226,7 +226,7 @@ TEST(SvcService, NonDurableSessionsArePinnedNotEvicted) {
 
 // Satellite: the checkpoint-subdir collision fix. Two campaigns with
 // the same label + region may never share a checkpoint subdirectory —
-// their WAL records would interleave.
+// they would overwrite each other's checkpoints.
 TEST(SvcIsolation, CheckpointSubdirCollisionIsATypedError) {
   const fs::path dir = svc_test_dir("clasp_svc_collision");
   platform_config cfg = tiny_base_config();

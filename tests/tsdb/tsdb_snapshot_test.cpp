@@ -1,6 +1,5 @@
 // Durability layer round-trips: snapshot/restore of the store across
-// every series shape, WAL framing, torn-tail recovery and the TSDB
-// commit-record codec.
+// every series shape, through streams and through files.
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -14,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "tsdb/tsdb.hpp"
-#include "tsdb/wal.hpp"
 #include "util/binio.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -93,8 +91,8 @@ TEST(TsdbSnapshot, RestoredRefsEqualOriginals) {
   tsdb db = build_fixture();
   tsdb copy = restored(snapshot_bytes(db));
   // Interning the same (metric, tags) in both stores yields the same ref
-  // (series are serialized in insertion order), so WAL records encoded
-  // by the original process replay correctly against the restored store.
+  // (series are serialized in insertion order), so refs a campaign
+  // interned before a checkpoint stay valid against the restored store.
   const tag_set tags = {{"server", "42"}, {"tier", "premium"}};
   EXPECT_EQ(copy.open_series("long_run", tags),
             db.open_series("long_run", tags));
@@ -167,177 +165,20 @@ TEST(TsdbSnapshot, PathOverloadsAndMissingFile) {
   EXPECT_TRUE(stores_identical(db, copy));
   EXPECT_THROW(copy.restore_from((dir / "missing.snap").string()),
                not_found_error);
+  // A damaged file is refused with the stream overload's typed error,
+  // and the store keeps its contents.
+  const std::string bytes = snapshot_bytes(db);
+  std::string flipped = bytes;
+  flipped[bytes.size() / 2] ^= 0x01;
+  for (const std::string& bad : {bytes.substr(0, bytes.size() / 2), flipped}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bad;
+    }
+    EXPECT_THROW(copy.restore_from(path), invalid_argument_error);
+    EXPECT_TRUE(stores_identical(db, copy));
+  }
   fs::remove_all(dir);
-}
-
-// --- WAL framing -----------------------------------------------------------
-
-class WalTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("clasp_wal_test_" +
-            std::to_string(
-                ::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
-    fs::create_directories(dir_);
-    path_ = (dir_ / "wal.log").string();
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  fs::path dir_;
-  std::string path_;
-};
-
-TEST_F(WalTest, MissingFileScansEmpty) {
-  const wal_scan_result scan = scan_wal(path_);
-  EXPECT_TRUE(scan.records.empty());
-  EXPECT_EQ(scan.valid_bytes, 0u);
-  EXPECT_FALSE(scan.torn_tail);
-}
-
-TEST_F(WalTest, AppendScanRoundTrip) {
-  {
-    wal_writer wal(path_, /*truncate=*/true);
-    wal.append("first");
-    wal.append(std::string("\x00\x1f\xff with embedded NULs", 23));
-    wal.append("");  // empty payloads are legal records
-    wal.flush();
-  }
-  const wal_scan_result scan = scan_wal(path_);
-  ASSERT_EQ(scan.records.size(), 3u);
-  EXPECT_EQ(scan.records[0], "first");
-  EXPECT_EQ(scan.records[1], std::string("\x00\x1f\xff with embedded NULs", 23));
-  EXPECT_EQ(scan.records[2], "");
-  EXPECT_FALSE(scan.torn_tail);
-  EXPECT_EQ(scan.record_end.size(), 3u);
-  EXPECT_EQ(scan.record_end.back(), scan.valid_bytes);
-}
-
-TEST_F(WalTest, AppendModeContinuesAfterExistingRecords) {
-  {
-    wal_writer wal(path_, /*truncate=*/true);
-    wal.append("one");
-    wal.flush();
-  }
-  {
-    wal_writer wal(path_, /*truncate=*/false);
-    wal.append("two");
-    wal.flush();
-  }
-  const wal_scan_result scan = scan_wal(path_);
-  ASSERT_EQ(scan.records.size(), 2u);
-  EXPECT_EQ(scan.records[1], "two");
-}
-
-TEST_F(WalTest, TornTailIsDetectedAndTruncated) {
-  {
-    wal_writer wal(path_, /*truncate=*/true);
-    wal.append("complete record");
-    wal.append("this one will be torn");
-    wal.flush();
-  }
-  const wal_scan_result full = scan_wal(path_);
-  ASSERT_EQ(full.records.size(), 2u);
-  // Tear mid-way through the second record's payload.
-  fs::resize_file(path_, full.record_end[1] - 4);
-  const wal_scan_result torn = scan_wal(path_);
-  ASSERT_EQ(torn.records.size(), 1u);
-  EXPECT_EQ(torn.records[0], "complete record");
-  EXPECT_TRUE(torn.torn_tail);
-  EXPECT_EQ(torn.valid_bytes, full.record_end[0]);
-  // Recovery truncates the tear; the log is clean and appendable again.
-  truncate_wal(path_, torn.valid_bytes);
-  const wal_scan_result clean = scan_wal(path_);
-  EXPECT_EQ(clean.records.size(), 1u);
-  EXPECT_FALSE(clean.torn_tail);
-  {
-    wal_writer wal(path_, /*truncate=*/false);
-    wal.append("after recovery");
-    wal.flush();
-  }
-  EXPECT_EQ(scan_wal(path_).records.size(), 2u);
-}
-
-TEST_F(WalTest, CorruptPayloadStopsScanAtLastValidRecord) {
-  {
-    wal_writer wal(path_, /*truncate=*/true);
-    wal.append("good");
-    wal.append("flipped");
-    wal.flush();
-  }
-  const wal_scan_result before = scan_wal(path_);
-  ASSERT_EQ(before.records.size(), 2u);
-  // Flip a byte inside the second record's payload: length still reads,
-  // CRC fails, scan must stop after the first record.
-  {
-    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(before.record_end[0] + 8));
-    f.put('X');
-  }
-  const wal_scan_result after = scan_wal(path_);
-  ASSERT_EQ(after.records.size(), 1u);
-  EXPECT_EQ(after.records[0], "good");
-  EXPECT_TRUE(after.torn_tail);
-  // Every byte of the frame is on disk yet the CRC fails: interior
-  // corruption, not a crash tear. The scan says so, distinctly.
-  EXPECT_TRUE(after.corrupt);
-}
-
-TEST_F(WalTest, TornTailIsNotFlaggedCorrupt) {
-  {
-    wal_writer wal(path_, /*truncate=*/true);
-    wal.append("complete");
-    wal.append("will be torn");
-    wal.flush();
-  }
-  const wal_scan_result full = scan_wal(path_);
-  fs::resize_file(path_, full.record_end[1] - 3);
-  const wal_scan_result torn = scan_wal(path_);
-  EXPECT_TRUE(torn.torn_tail);
-  EXPECT_FALSE(torn.corrupt);  // tearing only shortens, never rewrites
-}
-
-TEST_F(WalTest, AbsurdLengthFieldIsCorruptNotTorn) {
-  {
-    wal_writer wal(path_, /*truncate=*/true);
-    wal.append("good");
-    wal.append("length about to be trashed");
-    wal.flush();
-  }
-  const wal_scan_result before = scan_wal(path_);
-  ASSERT_EQ(before.records.size(), 2u);
-  // Stamp an impossible length into the second record's header. The
-  // bytes are all present — a tear cannot have produced this.
-  {
-    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(before.record_end[0]));
-    const char absurd[4] = {'\xff', '\xff', '\xff', '\x7f'};
-    f.write(absurd, 4);
-  }
-  const wal_scan_result after = scan_wal(path_);
-  ASSERT_EQ(after.records.size(), 1u);
-  EXPECT_TRUE(after.corrupt);
-  EXPECT_EQ(after.valid_bytes, before.record_end[0]);
-}
-
-TEST_F(WalTest, TsdbCommitRecordRoundTrip) {
-  tsdb db;
-  const series_ref a = db.open_series("m", {{"s", "1"}});
-  const series_ref b = db.open_series("m", {{"s", "2"}});
-  const std::vector<std::pair<series_ref, double>> writes = {
-      {a, 100.5}, {b, -0.0}, {a, 200.25}};
-  const std::string payload = encode_tsdb_commit(h(7), writes);
-  apply_tsdb_commit(db, payload);
-  EXPECT_EQ(db.series_at(a).points().size(), 2u);
-  EXPECT_EQ(db.series_at(a).points()[0].value, 100.5);
-  EXPECT_EQ(db.series_at(b).points()[0].at, h(7));
-  EXPECT_TRUE(std::signbit(db.series_at(b).points()[0].value));
-  // Not-a-commit payloads are rejected, as are trailing bytes.
-  EXPECT_THROW(apply_tsdb_commit(db, "junk"), invalid_argument_error);
-  EXPECT_THROW(apply_tsdb_commit(db, payload + "x"), invalid_argument_error);
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 Asserts that a durable run's checkpoint publishes write bytes that grow
 linearly with the window: the bytes written by a 14-day run (read from
 clasp_checkpoint_bytes_written_total, which is deterministic, not a wall
-time) may be at most MAX_RATIO times those of a 7-day run. Rewriting the
-full state at every publish makes the ratio about 4; sealing the WAL and
-compacting geometrically keeps it near 2. Also re-checks that the
-durable legs left the output unchanged.
+time) may be at most MAX_RATIO times those of a 7-day run. The counter
+sums the files each publish writes: a full base's snapshot and state, or
+a cadence publish's manifest and ledger. Rewriting the full state at
+every publish makes the ratio about 4; writing bases only geometrically,
+with a few-KB cadence publish between them, keeps it near 2. Also
+re-checks that the durable legs left the output unchanged.
 
 Usage: check_bench_checkpoint.py BENCH_robustness.json
 """
