@@ -17,7 +17,10 @@
 //      throughput >= 0.9x sequential, and the harvested CSVs must be
 //      byte-identical to the batch twins (hard contract, not a budget).
 //
-// `--fast` shrinks the substrate and window for the CI smoke job.
+// `--fast` shrinks the substrate for the CI smoke job but keeps a
+// four-week window: with a two-day window the timed legs lasted only
+// 0.03-0.3 s, and host noise alone could push the best-of-3 ratio under
+// the 0.9 floor.
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -107,7 +110,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) fast = true;
   }
-  const int days = fast ? 2 : 3;
+  const int days = fast ? 28 : 3;
   const int window_hours = days * 24;
   constexpr int kPasses = 3;
 

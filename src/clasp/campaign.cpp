@@ -148,6 +148,10 @@ std::size_t campaign_runner::deploy(const campaign_config& config,
         store_->open_series("upload_loss", tags),
         store_->open_series("gt_episode", tags),
     });
+    for (const series_ref ref : series_refs_.back().all()) {
+      if (ref >= point_series_.size()) point_series_.resize(ref + 1);
+      point_series_[ref] = true;
+    }
     session_withdraw_.push_back(plan_.withdraw_hour(server.id));
     if (plan_.enabled()) {
       // Per-test outcomes only exist as a series under fault injection;
@@ -206,11 +210,7 @@ void campaign_runner::reserve_series() {
   const std::size_t hours =
       window_hours > 0 ? static_cast<std::size_t>(window_hours) : 0;
   for (const session_series& refs : series_refs_) {
-    for (const series_ref ref : {refs.download, refs.upload, refs.latency,
-                                 refs.download_loss, refs.upload_loss,
-                                 refs.gt_episode}) {
-      store_->reserve(ref, hours);
-    }
+    for (const series_ref ref : refs.all()) store_->reserve(ref, hours);
   }
 }
 
@@ -368,39 +368,46 @@ void campaign_runner::close_hour(hour_stamp at,
   }
 }
 
-void campaign_runner::run_hour(hour_stamp at) {
-  if (!deployed_) throw state_error("campaign_runner: not deployed");
-  const hour_clock::time_point started = hour_started();
+void campaign_runner::stage_slots(hour_stamp at, std::size_t begin,
+                                  std::size_t end, thread_pool* pool,
+                                  std::vector<vm_hour_staging>& out) {
+  out.resize(end - begin);
+  const obs::trace_span span(obs::phase::stage, at.hours_since_epoch());
+  const auto stage = [&](std::size_t i) {
+    stage_vm_hour_into(begin + i, at, out[i]);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(out.size(), stage);
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i) stage(i);
+  }
+}
+
+void campaign_runner::commit_staged(hour_stamp at,
+                                    std::vector<vm_hour_staging>& group,
+                                    hour_clock::time_point started) {
   const std::int64_t h = at.hours_since_epoch();
+  // After staging, which never reads what begin_hour changes; the staged
+  // charges still reach the cloud after it.
   {
     const obs::trace_span span(obs::phase::begin_hour, h);
     begin_hour(at);
   }
-  prepare_hour(at, pool_.get());
-  staging_.resize(vms_.size());
-  if (pool_) {
-    {
-      const obs::trace_span span(obs::phase::stage, h);
-      pool_->parallel_for(vms_.size(), [&](std::size_t v) {
-        stage_vm_hour_into(v, at, staging_[v]);
-      });
-    }
+  {
     const obs::trace_span span(obs::phase::commit, h);
     for (std::size_t v = 0; v < vms_.size(); ++v) {
-      commit_vm_hour(v, std::move(staging_[v]));
-    }
-  } else {
-    // Serial replay commits each VM right after staging it: identical
-    // order (staging reads only immutable state, commits stay in slot
-    // order) but the staged points are still cache-hot when merged. The
-    // fused loop is attributed to the `stage` phase.
-    const obs::trace_span span(obs::phase::stage, h);
-    for (std::size_t v = 0; v < vms_.size(); ++v) {
-      stage_vm_hour_into(v, at, staging_[v]);
-      commit_vm_hour(v, std::move(staging_[v]));
+      commit_vm_hour(v, std::move(group[v]));
     }
   }
   close_hour(at, started);
+}
+
+void campaign_runner::run_hour(hour_stamp at) {
+  if (!deployed_) throw state_error("campaign_runner: not deployed");
+  const hour_clock::time_point started = hour_started();
+  prepare_hour(at, pool_.get());
+  stage_slots(at, 0, vms_.size(), pool_.get(), staging_);
+  commit_staged(at, staging_, started);
 }
 
 void campaign_runner::evaluate_hour(hour_stamp at, thread_pool* pool) {
@@ -441,11 +448,7 @@ void campaign_runner::stage_shard_hour(hour_stamp at, std::size_t slot_begin,
   // typically a fork() of a process whose pool threads did not survive,
   // so this path must never dispatch to pool_.
   prepare_hour(at, nullptr);
-  out.resize(slot_end - slot_begin);
-  const obs::trace_span span(obs::phase::stage, at.hours_since_epoch());
-  for (std::size_t v = slot_begin; v < slot_end; ++v) {
-    stage_vm_hour_into(v, at, out[v - slot_begin]);
-  }
+  stage_slots(at, slot_begin, slot_end, nullptr, out);
 }
 
 void campaign_runner::commit_hour_group(hour_stamp at,
@@ -464,21 +467,9 @@ void campaign_runner::commit_hour_group(hour_stamp at,
           "campaign_runner: hour group record staged for a different hour");
     }
   }
-  const hour_clock::time_point started = hour_started();
-  const std::int64_t h = at.hours_since_epoch();
-  {
-    const obs::trace_span span(obs::phase::begin_hour, h);
-    begin_hour(at);
-  }
-  // Same commit phase as run_hour, so the store bytes cannot depend on
-  // which process staged the records.
-  {
-    const obs::trace_span span(obs::phase::commit, h);
-    for (std::size_t v = 0; v < vms_.size(); ++v) {
-      commit_vm_hour(v, std::move(group[v]));
-    }
-  }
-  close_hour(at, started);
+  // The same commit step as run_hour, so the store bytes cannot depend
+  // on which process staged the records.
+  commit_staged(at, group, hour_started());
 }
 
 void campaign_runner::publish_hour_metrics(double hour_seconds) {
@@ -737,6 +728,8 @@ void campaign_runner::commit_vm_hour(std::size_t vm_slot,
   }
   // Health tallies merge here, in slot order on the coordinator, so they
   // are deterministic for any worker count — same contract as the points.
+  // The same pass counts the hour's obs totals, added in bulk below.
+  std::uint64_t failed = 0, retries = 0, skipped = 0, down = 0;
   const std::size_t n_outcomes = staged.outcomes.size();
   for (std::size_t i = 0; i < n_outcomes; ++i) {
     if (i + kPrefetchAhead < n_outcomes) {
@@ -753,19 +746,24 @@ void campaign_runner::commit_vm_hour(std::size_t vm_slot,
       case test_outcome::ok_after_retry:
         ++tally.completed;
         tally.retries += o.attempts - 1u;
+        retries += o.attempts - 1u;
         break;
       case test_outcome::failed:
         ++tally.failed;
         tally.retries += o.attempts - 1u;
+        retries += o.attempts - 1u;
+        ++failed;
         break;
       case test_outcome::server_withdrawn:
         ++tally.withdrawn_hours;
         break;
       case test_outcome::vm_down:
         ++tally.down_hours;
+        ++down;
         break;
       case test_outcome::skipped_budget:
         ++tally.skipped_hours;
+        ++skipped;
         break;
     }
     if (!status_refs_.empty()) {
@@ -777,29 +775,8 @@ void campaign_runner::commit_vm_hour(std::size_t vm_slot,
       n_points + (status_refs_.empty() ? 0 : n_outcomes);
   if (staged.upload_failed) ++upload_failures_;
   if (obs::enabled()) {
-    // Bulk adds at the hour barrier (coordinator thread): one pass over
-    // the outcome list, a handful of sharded adds per VM-hour. The hot
-    // staging loop stays untouched.
-    std::uint64_t failed = 0, retries = 0, skipped = 0, down = 0;
-    for (const staged_outcome& o : staged.outcomes) {
-      switch (o.outcome) {
-        case test_outcome::ok:
-          break;
-        case test_outcome::ok_after_retry:
-        case test_outcome::failed:
-          retries += o.attempts > 0 ? o.attempts - 1u : 0u;
-          if (o.outcome == test_outcome::failed) ++failed;
-          break;
-        case test_outcome::server_withdrawn:
-          break;
-        case test_outcome::vm_down:
-          ++down;
-          break;
-        case test_outcome::skipped_budget:
-          ++skipped;
-          break;
-      }
-    }
+    // Bulk adds at the hour barrier (coordinator thread): a handful of
+    // sharded adds per VM-hour. The hot staging loop stays untouched.
     metrics_.tests->add(staged.tests_run);
     metrics_.tests_missed->add(staged.tests_missed);
     metrics_.points->add(staged.points.size());

@@ -29,6 +29,7 @@
 // completeness, retries and downtime per server.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -165,14 +166,15 @@ class campaign_runner {
   bool run_until(hour_stamp stop, const hour_step& step = {});
 
   // Run one hour of the campaign: stage all VMs (in parallel when the
-  // campaign was configured with workers != 1), then merge in slot order.
+  // campaign was configured with workers != 1), then begin_hour and the
+  // merge in slot order. Accepts any hour; run_until checks the cursor.
   void run_hour(hour_stamp at);
 
-  // Coordinator-only fault-plan hour events, called by run_hour (and by
-  // commit_hour_group) before any staging worker starts:
-  // servers withdrawing at `at` are retired from the churn registry, VMs
-  // whose maintenance window starts/ends at `at` are preempted/
-  // redeployed. No-op when faults are disabled.
+  // Coordinator-only fault-plan hour events, run after staging (which
+  // never reads what they change) and before the merge: servers
+  // withdrawing at `at` are retired from the churn registry, VMs whose
+  // maintenance window starts/ends at `at` are preempted/redeployed.
+  // No-op when faults are disabled.
   void begin_hour(hour_stamp at);
 
   // Batched evaluation of the hour's path conditions (coordinator-only,
@@ -256,20 +258,20 @@ class campaign_runner {
   void stage_shard_hour(hour_stamp at, std::size_t slot_begin,
                         std::size_t slot_end,
                         std::vector<vm_hour_staging>& out);
-  // Commit one complete hour group staged elsewhere (shard workers):
-  // coordinator hour events, then commit every slot in ascending order,
-  // then close the hour — exactly the bytes run_hour's commit phase
-  // produces. `group` must hold vm_count() records, slot v at index v,
-  // all staged for `at` == cursor(). Moves out of the records, not the
-  // vector.
+  // Commit one complete hour group staged elsewhere (shard workers)
+  // through run_hour's own commit step: begin_hour, every slot in
+  // ascending order, then close the hour. Because the records come from
+  // other processes, `group` is checked first: it must hold vm_count()
+  // records, slot v at index v, all staged for `at` == cursor(). Moves
+  // out of the records, not the vector.
   void commit_hour_group(hour_stamp at, std::vector<vm_hour_staging>&& group);
   // Shard record codec, the dist wire format for one staged (VM, hour):
   // the coordinator decodes exactly what a worker encoded. (The names
   // date from when the same records also filled a write-ahead log.)
   // decode throws invalid_argument_error on a malformed payload (bad
   // framing, a count larger than the bytes left, or a slot, session,
-  // outcome or VM id that does not belong to this campaign) and returns
-  // the record's vm_slot.
+  // outcome, VM id or point series that does not belong to this
+  // campaign) and returns the record's vm_slot.
   std::string encode_wal_record(std::size_t vm_slot,
                                 const vm_hour_staging& staged) const;
   std::size_t decode_wal_record(std::string_view payload,
@@ -361,6 +363,10 @@ class campaign_runner {
     series_ref download_loss;
     series_ref upload_loss;
     series_ref gt_episode;
+    std::array<series_ref, 6> all() const {
+      return {download,      upload,      latency,
+              download_loss, upload_loss, gt_episode};
+    }
   };
 
   // Per-session health counters, merged by commit_vm_hour in slot order
@@ -421,15 +427,22 @@ class campaign_runner {
   };
   void resolve_metrics();
 
-  // The steps every hour driver shares (run_hour, stage_shard_hour and
-  // commit_hour_group), around commit_vm_hour in ascending slot order:
+  // The one hour pipeline: run_hour runs prepare, stage and commit;
+  // stage_shard_hour prepare and stage; commit_hour_group the commit.
   //  * prepare: refill this campaign's condition-cache slots for `at`,
   //    then evaluate_hour, both on exactly `pool` (serial when null);
-  //  * close: advance the cursor past `at` and, when `started` was taken
-  //    with obs on, publish the hour's metrics.
+  //  * stage: slots [begin, end) into `out[v - begin]`, on `pool` or
+  //    serially when null;
+  //  * commit: begin_hour, commit_vm_hour for every slot of `group` in
+  //    ascending order, then close: advance the cursor past `at` and,
+  //    when `started` was taken with obs on, publish the hour's metrics.
   using hour_clock = std::chrono::steady_clock;
   static hour_clock::time_point hour_started();
   void prepare_hour(hour_stamp at, thread_pool* pool);
+  void stage_slots(hour_stamp at, std::size_t begin, std::size_t end,
+                   thread_pool* pool, std::vector<vm_hour_staging>& out);
+  void commit_staged(hour_stamp at, std::vector<vm_hour_staging>& group,
+                     hour_clock::time_point started);
   void close_hour(hour_stamp at, hour_clock::time_point started);
   // Hour-close bookkeeping: counters/gauges, the hour-duration histogram
   // and (on the configured cadence) the heartbeat line. Only called when
@@ -481,6 +494,8 @@ class campaign_runner {
   std::size_t batch_groups_{0};  // blocks of the last sweep (heartbeat)
   // series_refs_[i] = interned store handles for sessions_[i].
   std::vector<session_series> series_refs_;
+  // True at the refs in series_refs_, the only series a point may name.
+  std::vector<bool> point_series_;
   // test_status series per session; empty unless faults are enabled (so
   // the faults-off store is byte-identical to pre-fault builds).
   std::vector<series_ref> status_refs_;

@@ -369,8 +369,12 @@ std::size_t campaign_runner::decode_wal_record(std::string_view payload,
   const std::size_t n_points = in.count(9);  // varint ref + f64
   out.points.reserve(n_points);
   for (std::size_t i = 0; i < n_points; ++i) {
-    const series_ref ref = static_cast<series_ref>(in.varint());
-    out.points.push_back({ref, in.f64()});
+    // Checked before the cast: a ref past 2^32 must not alias a low one.
+    const std::uint64_t ref = in.varint();
+    if (ref >= point_series_.size() || !point_series_[ref]) {
+      bad("names a series outside this campaign");
+    }
+    out.points.push_back({static_cast<series_ref>(ref), in.f64()});
   }
   const std::size_t n_someta = in.count(26);  // svarint + 3 f64 + bool
   out.someta.reserve(n_someta);

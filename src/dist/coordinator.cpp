@@ -22,6 +22,11 @@ namespace {
 // shard's channel. Small enough that one slow worker cannot starve
 // another's deadline bookkeeping.
 constexpr int kRecvSliceMs = 10;
+// Each deadline strike multiplies the next strike's backoff by this.
+constexpr double kBackoffMultiplier = 2.0;
+// Damaged groups re-requested at most this many times per barrier before
+// the shard is treated as failed.
+constexpr int kMaxGroupRetries = 3;
 
 struct dist_metrics {
   obs::gauge* workers;
@@ -162,7 +167,7 @@ void shard_coordinator::reject_group(std::uint32_t shard, hour_stamp at,
   worker_slot& w = workers_[shard];
   report_.crc_rejects += 1;
   metrics().crc_rejects->add(1);
-  if (w.resends >= config_.max_group_retries) {
+  if (w.resends >= kMaxGroupRetries) {
     failover(shard, at, stop);
     return;
   }
@@ -270,7 +275,7 @@ void shard_coordinator::collect_hour(hour_stamp at, hour_stamp stop) {
             w.deadline = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(
                              static_cast<std::int64_t>(w.backoff_ms));
-            w.backoff_ms *= config_.backoff_multiplier;
+            w.backoff_ms *= kBackoffMultiplier;
           }
         }
       }

@@ -13,7 +13,8 @@
 // Failure handling, from least to most severe:
 //   * damaged frame or record (CRC reject)  → re-request just that
 //     group; deterministic staging makes the retry byte-identical.
-//     Bounded by max_group_retries, then treated as a worker failure.
+//     Bounded by three re-requests per barrier, then treated as a worker
+//     failure.
 //   * silence past the heartbeat deadline   → bounded retries with
 //     exponential backoff on the deadline, then failover.
 //   * dead or wedged worker                 → failover: SIGKILL + reap +
@@ -47,14 +48,10 @@ struct dist_config {
   // often during a barrier, or it earns a timeout strike.
   int heartbeat_timeout_ms{2000};
   // After a strike, the deadline is extended by a backoff that doubles
-  // per strike (initial_backoff_ms * backoff_multiplier^strike), up to
+  // per strike (initial_backoff_ms * 2^strike), up to
   // max_deadline_retries strikes; then the shard fails over.
   int initial_backoff_ms{50};
-  double backoff_multiplier{2.0};
   int max_deadline_retries{3};
-  // Damaged groups re-requested at most this many times per barrier
-  // before the shard is treated as failed.
-  int max_group_retries{3};
   // Respawns allowed per shard before the run aborts (a shard that
   // cannot stay up is a bug, not weather).
   int max_failovers_per_shard{4};

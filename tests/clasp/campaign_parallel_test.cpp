@@ -319,6 +319,51 @@ TEST(CampaignParallelTest, UnprefilledReplayMatchesRun) {
   }
 }
 
+TEST(CampaignParallelTest, ShardRangesCommittedInProcessMatchRun) {
+  // The dist path's order in one process, so the thread sanitizer sees
+  // it: each hour is staged by stage_shard_hour over three uneven slot
+  // ranges, assembled in slot order and committed by commit_hour_group.
+  // With and without a pool on the runner, faults off and low, it must
+  // match run() on a twin platform byte for byte.
+  for (const unsigned workers : {1u, 4u}) {
+    for (const char* preset : {"off", "low"}) {
+      platform_config cfg = tiny_config(workers);
+      // Enough servers for five VMs, so the ranges can be uneven.
+      cfg.servers.us_server_target = 300;
+      cfg.topology_budgets = {{"us-west1", 80}};
+      cfg.campaign_faults = fault_config::preset(preset);
+      campaign_snapshot reference;
+      {
+        clasp_platform p(cfg);
+        campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
+        inject_outage(c);
+        EXPECT_TRUE(c.run());
+        reference = snapshot_of(p, c);
+      }
+      clasp_platform p(cfg);
+      campaign_runner& c = p.start_topology_campaign("us-west1", two_days());
+      inject_outage(c);
+      const std::size_t n = c.vm_count();
+      ASSERT_GE(n, 5u);
+      // One slot, then the rest split in two.
+      const std::size_t bounds[] = {0, 1, 1 + (n - 1) / 2, n};
+      std::vector<campaign_runner::vm_hour_staging> shard;
+      std::vector<campaign_runner::vm_hour_staging> group(n);
+      EXPECT_TRUE(c.run([&](hour_stamp at) {
+        for (std::size_t r = 0; r + 1 < std::size(bounds); ++r) {
+          c.stage_shard_hour(at, bounds[r], bounds[r + 1], shard);
+          ASSERT_EQ(shard.size(), bounds[r + 1] - bounds[r]);
+          std::move(shard.begin(), shard.end(), group.begin() + bounds[r]);
+        }
+        c.commit_hour_group(at, std::move(group));
+      }));
+      ASSERT_GT(reference.tests_run, 0u);
+      ASSERT_GT(reference.tests_missed, 0u);
+      expect_identical(reference, snapshot_of(p, c));
+    }
+  }
+}
+
 TEST(CampaignParallelTest, StagingWithoutEvaluateHourIsStateError) {
   // Staging reads only the hour's arena sweep: an hour evaluate_hour did
   // not sweep is a caller error, not a slow path.

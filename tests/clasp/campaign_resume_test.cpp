@@ -11,6 +11,7 @@
 // and state files are typed errors, never out-of-range writes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -860,21 +861,65 @@ TEST(CampaignResume, InterleavedCampaignsOnOneStoreResumeIdentically) {
 
 TEST(CampaignResume, MalformedWalRecordIsTypedError) {
   // VM-hour records are the dist wire format, so they arrive from
-  // sockets. A record whose counts, slot, sessions, outcomes or billed
-  // VMs do not fit this campaign must be rejected by the decoder before
-  // commit_vm_hour indexes anything with them.
-  clasp_platform p(tiny_config(1, "low"));
+  // sockets. A record whose counts, slot, sessions, outcomes, billed VMs
+  // or point series do not fit this campaign must be rejected by the
+  // decoder before commit_vm_hour indexes anything with them. A second
+  // campaign shares the store, as the paper's six regions do.
+  clasp_platform p(two_region_config(1, "low", ""));
   campaign_runner& c = p.start_topology_campaign("us-west1", window());
+  campaign_runner& other = p.start_topology_campaign("us-west2", window());
+  const hour_stamp at = window().begin_at + 20;
   std::vector<campaign_runner::vm_hour_staging> staged;
-  c.stage_shard_hour(window().begin_at + 20, 0, c.vm_count(), staged);
+  c.stage_shard_hour(at, 0, c.vm_count(), staged);
   const std::string record = c.encode_wal_record(0, staged[0]);
   campaign_runner::vm_hour_staging good;
   ASSERT_EQ(c.decode_wal_record(record, good), 0u);
+  ASSERT_FALSE(good.points.empty());
   ASSERT_FALSE(good.outcomes.empty());
   ASSERT_FALSE(good.charges.vm_hours.empty());
   EXPECT_EQ(c.encode_wal_record(0, good), record);
 
+  // `good` with its first point's series ref written as the raw varint
+  // `ref` (encode_wal_record takes a 32-bit series_ref).
+  const auto with_first_ref = [&](std::uint64_t ref) {
+    const auto header = [&](binary_writer& w, std::size_t points) {
+      w.u8('V');
+      w.varint(0);
+      w.svarint(good.at.hours_since_epoch());
+      w.varint(points);
+    };
+    campaign_runner::vm_hour_staging rest = good;
+    rest.points.clear();
+    binary_writer head;
+    header(head, 0);
+    const std::string tail =
+        c.encode_wal_record(0, rest).substr(head.take().size());
+    binary_writer w;
+    header(w, good.points.size());
+    for (std::size_t i = 0; i < good.points.size(); ++i) {
+      w.varint(i == 0 ? ref : good.points[i].ref);
+      w.f64(good.points[i].value);
+    }
+    return w.take() + tail;
+  };
+  ASSERT_EQ(with_first_ref(good.points.front().ref), record);
+  std::vector<campaign_runner::vm_hour_staging> theirs;
+  other.stage_shard_hour(at, 0, other.vm_count(), theirs);
+  const auto foreign = std::find_if(
+      theirs.begin(), theirs.end(),
+      [](const campaign_runner::vm_hour_staging& s) {
+        return !s.points.empty();
+      });
+  ASSERT_NE(foreign, theirs.end());
+
   std::vector<std::string> bad;
+  // A point series ref past 2^32 that would truncate onto this
+  // campaign's own first ref, one of the other campaign's series, and
+  // one past the store's last series.
+  bad.push_back(with_first_ref((std::uint64_t{1} << 32) +
+                               good.points.front().ref));
+  bad.push_back(with_first_ref(foreign->points.front().ref));
+  bad.push_back(with_first_ref(p.store().series_count()));
   {
     campaign_runner::vm_hour_staging s = good;
     s.outcomes.back().session =
