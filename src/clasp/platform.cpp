@@ -32,7 +32,6 @@ platform_config resolve_fleet_scale(platform_config config) {
 
 clasp_platform::clasp_platform(platform_config config)
     : config_(resolve_fleet_scale(std::move(config))),
-      net_(generate_internet(config_.internet)),
       rng_(hash_tag(config_.internet.seed, "platform")) {
   if (config_.obs_metrics) {
     obs::set_enabled(true);
@@ -41,9 +40,15 @@ clasp_platform::clasp_platform(platform_config config)
   if (config_.obs_span_ring_capacity > 0) {
     obs::trace_ring::instance().set_capacity(config_.obs_span_ring_capacity);
   }
+  {
+    // The planner and view read neither the fleet's hosts nor its access
+    // links, so the world is built whole before them.
+    const obs::trace_span world_span(obs::phase::world);
+    net_ = generate_internet(config_.internet);
+    registry_ = deploy_servers(net_, config_.servers);
+  }
   planner_ = std::make_unique<route_planner>(&net_);
   view_ = std::make_unique<network_view>(&net_);
-  registry_ = deploy_servers(net_, config_.servers);
   cloud_ = std::make_unique<gcp_cloud>(&net_, planner_.get());
   // The persistent pre-test swarm: its churn streams mix the internet
   // seed so two platforms over different worlds churn differently, and
@@ -71,9 +76,11 @@ const topology_selection_result& clasp_platform::select_topology(
   }
   topology_selector selector(planner_.get(), view_.get(), &registry_);
   rng r = rng_.fork("topo-select:" + region);
-  auto result =
-      selector.run(cloud_->vm_endpoint(pilot_vm), sel_config,
-                   topology_campaign_window().begin_at + (-72), r);
+  auto result = [&] {
+    const obs::trace_span select_span(obs::phase::select);
+    return selector.run(cloud_->vm_endpoint(pilot_vm), sel_config,
+                        topology_campaign_window().begin_at + (-72), r);
+  }();
   cloud_->terminate_vm(pilot_vm);
   return topology_results_.emplace(region, std::move(result)).first->second;
 }

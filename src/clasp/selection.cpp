@@ -22,11 +22,13 @@ topology_selection_result topology_selector::run(
     hour_stamp at, rng& r) const {
   topology_selection_result result;
   const prober probe(planner_, view_);
-  const prefix2as_table prefix2as = planner_->net().topo->build_prefix2as();
-  const bdrmap border_mapper(planner_, &probe, &prefix2as);
+  const bdrmap border_mapper(planner_, &probe, &planner_->prefix2as());
+  // Every probe of this run is at `at`: one memo serves the pilot and the
+  // server traceroutes, and dies with the run.
+  hour_link_memo memo(view_, at);
 
   // 1. Pilot scan: discover the region's interdomain links.
-  result.pilot = border_mapper.run_pilot(vm, config.tier, at, r);
+  result.pilot = border_mapper.run_pilot(vm, config.tier, at, r, &memo);
 
   // 2-3. Traceroute to every candidate server; extract the border crossing.
   struct server_obs {
@@ -45,10 +47,10 @@ topology_selection_result topology_selector::run(
     const endpoint dst = planner_->endpoint_of_host(server.host);
     const route_path forward = planner_->from_cloud(vm, dst, config.tier);
     // Retry when a non-responding hop hides the border crossing.
-    traceroute_result trace = probe.traceroute(forward, at, r);
+    traceroute_result trace = probe.traceroute(forward, at, r, &memo);
     auto border = border_mapper.find_border(trace);
     for (int attempt = 1; attempt < 3 && !border; ++attempt) {
-      trace = probe.traceroute(forward, at, r);
+      trace = probe.traceroute(forward, at, r, &memo);
       border = border_mapper.find_border(trace);
     }
     if (!border) continue;

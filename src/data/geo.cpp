@@ -206,7 +206,19 @@ geo_database geo_database::builtin() {
     info.population_weight = raw.weight;
     db.cities_.push_back(std::move(info));
   }
+  db.distance_km_.reserve(db.cities_.size() * db.cities_.size());
+  for (const city_info& a : db.cities_) {
+    for (const city_info& b : db.cities_) {
+      db.distance_km_.push_back(haversine_km(a, b));
+    }
+  }
   return db;
+}
+
+void geo_database::throw_unknown_pair(city_id a, city_id b) {
+  throw not_found_error("geo_database: unknown city id in pair (" +
+                        std::to_string(a.value) + ", " +
+                        std::to_string(b.value) + ")");
 }
 
 const city_info& geo_database::city(city_id id) const {

@@ -54,8 +54,22 @@ class geo_database {
 
   std::size_t size() const { return cities_.size(); }
 
+  // haversine_km(city(a), city(b)), read from a table that builtin()
+  // fills once (N x N doubles, row a, column b). Callers keep
+  // haversine_km's argument order: its bitwise symmetry rests on libm's
+  // sin and cos, which no standard promises.
+  double distance_km(city_id a, city_id b) const {
+    if (a.value >= cities_.size() || b.value >= cities_.size()) {
+      throw_unknown_pair(a, b);
+    }
+    return distance_km_[a.value * cities_.size() + b.value];
+  }
+
  private:
+  [[noreturn]] static void throw_unknown_pair(city_id a, city_id b);
+
   std::vector<city_info> cities_;
+  std::vector<double> distance_km_;
 };
 
 // Great-circle distance in kilometers.

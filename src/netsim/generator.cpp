@@ -772,11 +772,10 @@ class internet_builder {
 
   router_index nearest_router_of(as_index idx, city_id target) const {
     const as_info& info = net_.topo->as_at(idx);
-    const city_info& t = geo().city(target);
     double best = 1e18;
     city_id best_city = info.presence.front();
     for (const city_id c : info.presence) {
-      const double d = haversine_km(geo().city(c), t);
+      const double d = geo().distance_km(c, target);
       if (d < best) {
         best = d;
         best_city = c;
@@ -787,11 +786,10 @@ class internet_builder {
 
   router_index farthest_router_of(as_index idx, city_id target) const {
     const as_info& info = net_.topo->as_at(idx);
-    const city_info& t = geo().city(target);
     double best = -1.0;
     city_id best_city = info.presence.front();
     for (const city_id c : info.presence) {
-      const double d = haversine_km(geo().city(c), t);
+      const double d = geo().distance_km(c, target);
       if (d > best) {
         best = d;
         best_city = c;
@@ -800,22 +798,28 @@ class internet_builder {
     return *net_.topo->router_of(idx, best_city);
   }
 
-  city_id nearest_pop_city(city_id from) const {
+  city_id nearest_pop_city(city_id from) {
     return nth_nearest_pop_city(from, 0);
   }
-  city_id second_nearest_pop_city(city_id from) const {
-    return nth_nearest_pop_city(from, 1);
-  }
-  city_id nth_nearest_pop_city(city_id from, std::size_t n) const {
-    const city_info& f = geo().city(from);
-    std::vector<std::pair<double, city_id>> dist;
-    dist.reserve(net_.pop_cities.size());
-    for (const city_id c : net_.pop_cities) {
-      dist.emplace_back(haversine_km(geo().city(c), f), c);
+  city_id nth_nearest_pop_city(city_id from, std::size_t n) {
+    // The sort compares distance only, so tied pop cities keep whatever
+    // order std::sort leaves them in. Each `from`'s order is therefore
+    // memoized from that same sort over the same (fixed) pop_cities,
+    // rather than replaced by a selection that could break ties apart.
+    auto [it, fresh] = pop_order_.try_emplace(from.value);
+    std::vector<city_id>& order = it->second;
+    if (fresh) {
+      std::vector<std::pair<double, city_id>> dist;
+      dist.reserve(net_.pop_cities.size());
+      for (const city_id c : net_.pop_cities) {
+        dist.emplace_back(geo().distance_km(c, from), c);
+      }
+      std::sort(dist.begin(), dist.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      order.reserve(dist.size());
+      for (const auto& [d, c] : dist) order.push_back(c);
     }
-    std::sort(dist.begin(), dist.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    return dist[std::min(n, dist.size() - 1)].second;
+    return order[std::min(n, order.size() - 1)];
   }
 
   std::vector<city_id> region_pop_cities() const {
@@ -882,6 +886,8 @@ class internet_builder {
   std::unordered_map<std::uint32_t, prefix_allocator> blocks_;
   std::vector<city_id> us_cities_;
   std::vector<city_id> intl_cities_;
+  // Pop cities by distance from a city (nth_nearest_pop_city).
+  std::unordered_map<std::uint32_t, std::vector<city_id>> pop_order_;
 };
 
 }  // namespace

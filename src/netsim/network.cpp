@@ -1,5 +1,9 @@
 #include "netsim/network.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
+
 #include "util/error.hpp"
 
 namespace clasp {
@@ -25,15 +29,62 @@ void network_view::for_each_hop(const route_path& path, Fn&& fn) const {
   if (path.dst_access) fn(*path.dst_access);
 }
 
-path_metrics network_view::evaluate(const route_path& path,
-                                    hour_stamp at) const {
+hour_link_memo::hour_link_memo(const network_view* view, hour_stamp at)
+    : view_(view), at_(at) {
+  if (view == nullptr) {
+    throw invalid_argument_error("hour_link_memo: null view");
+  }
+  entries_ = 2 * view->net().topo->link_count();
+  bytes_ = entries_ * (sizeof(link_condition) + 1);
+  if (bytes_ == 0) return;
+  pages_ = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages_ == MAP_FAILED) throw std::bad_alloc();
+  conds_ = static_cast<link_condition*>(pages_);
+  filled_ = reinterpret_cast<unsigned char*>(conds_ + entries_);
+}
+
+hour_link_memo::~hour_link_memo() {
+  if (pages_ != nullptr) munmap(pages_, bytes_);
+}
+
+const link_condition& hour_link_memo::state(link_index l, link_dir dir) {
+  const std::size_t i =
+      2 * std::size_t{l.value} + (dir == link_dir::a_to_b ? 0 : 1);
+  if (i >= entries_) {
+    throw invalid_argument_error("hour_link_memo: link outside the table");
+  }
+  if (filled_[i] == 0) {
+    ::new (conds_ + i) link_condition(view_->link_state(l, dir, at_));
+    filled_[i] = 1;
+  }
+  return conds_[i];
+}
+
+void network_view::check_memo(const hour_link_memo* memo,
+                              hour_stamp at) const {
+  if (memo != nullptr && !memo->serves(this, at)) {
+    throw invalid_argument_error(
+        "network_view: memo is for another view or hour");
+  }
+}
+
+link_condition network_view::state_of(link_index l, link_dir dir,
+                                      hour_stamp at,
+                                      hour_link_memo* memo) const {
+  return memo != nullptr ? memo->state(l, dir) : link_state(l, dir, at);
+}
+
+path_metrics network_view::evaluate(const route_path& path, hour_stamp at,
+                                    hour_link_memo* memo) const {
+  check_memo(memo, at);
   path_metrics m;
   m.bottleneck = mbps{1e12};
   double pass = 1.0;
   for_each_hop(path, [&](const path_hop& h) {
     const link_info& info = net_->topo->link_at(h.link);
-    const link_condition data = link_state(h.link, h.dir, at);
-    const link_condition ack = link_state(h.link, reverse(h.dir), at);
+    const link_condition data = state_of(h.link, h.dir, at, memo);
+    const link_condition ack = state_of(h.link, reverse(h.dir), at, memo);
     m.base_rtt = m.base_rtt + info.propagation * 2.0;
     m.rtt = m.rtt + info.propagation * 2.0 + data.queue_delay +
             ack.queue_delay;
@@ -192,26 +243,41 @@ millis network_view::base_rtt(const route_path& path) const {
   return total + millis{0.16 * static_cast<double>(path.routers.size())};
 }
 
+void network_view::router_delays(const route_path& path, hour_stamp at,
+                                 std::vector<millis>& out,
+                                 hour_link_memo* memo) const {
+  check_memo(memo, at);
+  out.resize(path.routers.size());
+  // One running sum, extended by one transit hop per router, in the
+  // order the per-router sum (source access, then transit hops 0..i-1)
+  // adds its terms.
+  millis running{0.0};
+  if (path.src_access) {
+    const link_info& info = net_->topo->link_at(path.src_access->link);
+    const link_condition c =
+        state_of(path.src_access->link, path.src_access->dir, at, memo);
+    running = running + info.propagation + c.queue_delay;
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (i > 0 && i - 1 < path.transit_hops.size()) {
+      const path_hop& h = path.transit_hops[i - 1];
+      const link_info& info = net_->topo->link_at(h.link);
+      const link_condition c = state_of(h.link, h.dir, at, memo);
+      running = running + info.propagation + c.queue_delay;
+    }
+    out[i] = running + millis{0.08 * static_cast<double>(i + 1)};
+  }
+}
+
 millis network_view::delay_to_router(const route_path& path,
                                      std::size_t router_i,
                                      hour_stamp at) const {
   if (router_i >= path.routers.size()) {
     throw invalid_argument_error("network_view: router index out of range");
   }
-  millis total{0.0};
-  if (path.src_access) {
-    const link_info& info = net_->topo->link_at(path.src_access->link);
-    const link_condition c = link_state(path.src_access->link,
-                                        path.src_access->dir, at);
-    total = total + info.propagation + c.queue_delay;
-  }
-  for (std::size_t i = 0; i < router_i && i < path.transit_hops.size(); ++i) {
-    const path_hop& h = path.transit_hops[i];
-    const link_info& info = net_->topo->link_at(h.link);
-    const link_condition c = link_state(h.link, h.dir, at);
-    total = total + info.propagation + c.queue_delay;
-  }
-  return total + millis{0.08 * static_cast<double>(router_i + 1)};
+  std::vector<millis> delays;
+  router_delays(path, at, delays);
+  return delays[router_i];
 }
 
 bool network_view::episode_on_path(const route_path& path,

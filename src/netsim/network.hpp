@@ -97,6 +97,8 @@ class path_arena {
   std::vector<millis> router_cost_rtt_;    // per path
 };
 
+class hour_link_memo;
+
 class network_view {
  public:
   explicit network_view(const internet* net);
@@ -105,8 +107,10 @@ class network_view {
   // link's slot is stamped for the hour; direct computation else).
   link_condition link_state(link_index l, link_dir dir, hour_stamp at) const;
 
-  // Aggregate over every hop of a path.
-  path_metrics evaluate(const route_path& path, hour_stamp at) const;
+  // Aggregate over every hop of a path. With a memo (which must be for
+  // `at`), link states come from it; the result is the same either way.
+  path_metrics evaluate(const route_path& path, hour_stamp at,
+                        hour_link_memo* memo = nullptr) const;
 
   // Flatten a path once; evaluate(flat, at) then walks a contiguous hop
   // array. Bit-identical to evaluate(path, at).
@@ -129,8 +133,15 @@ class network_view {
   // floor assertions and 5th-percentile sanity checks).
   millis base_rtt(const route_path& path) const;
 
-  // Cumulative one-way delay from the source to the i-th router of the
-  // path (traceroute per-hop RTT support; includes queueing).
+  // Cumulative one-way delay from the source to every router of the
+  // path, in one walk (traceroute per-hop RTT support; includes
+  // queueing): out[i] is the delay to routers[i]. Each hop adds its
+  // propagation plus its data-direction queueing delay, and router i
+  // adds 0.08 ms * (i + 1). `memo`, when given, must be for `at`.
+  void router_delays(const route_path& path, hour_stamp at,
+                     std::vector<millis>& out,
+                     hour_link_memo* memo = nullptr) const;
+  // router_delays(path, at)[router_i]; throws for an index past the path.
   millis delay_to_router(const route_path& path, std::size_t router_i,
                          hour_stamp at) const;
 
@@ -149,9 +160,52 @@ class network_view {
  private:
   template <typename Fn>
   void for_each_hop(const route_path& path, Fn&& fn) const;
+  // Throws unless `memo` is null or memoizes this view at `at`.
+  void check_memo(const hour_link_memo* memo, hour_stamp at) const;
+  // memo->state when a memo is given, link_state otherwise.
+  link_condition state_of(link_index l, link_dir dir, hour_stamp at,
+                          hour_link_memo* memo) const;
 
   const internet* net_;
   std::unique_ptr<condition_cache> cache_;
+};
+
+// Link conditions of one hour, memoized for a burst of probes at that
+// hour. A topology selection's pilot scan and server traceroutes cross
+// the same few thousand links tens of thousands of times at one hour.
+// Each (link, direction) is read from network_view::link_state on first
+// use, so every value is link_state's own, and link state is a pure
+// function of (link, direction, hour). Not thread-safe: its owner keeps
+// it for one run and shares it with no other thread.
+//
+// The table is dense over every link of the topology (entry 2 * link +
+// direction bit) and lives in an anonymous mapping of its own: pages are
+// zero until first written, so only the pages a run touches become
+// resident, and unmapping returns all of them. A heap table freed after
+// each selection left the six-region replay's peak RSS 4-9 MB higher,
+// through the allocator's fragmentation and mmap-threshold rules.
+class hour_link_memo {
+ public:
+  hour_link_memo(const network_view* view, hour_stamp at);
+  ~hour_link_memo();
+  hour_link_memo(const hour_link_memo&) = delete;
+  hour_link_memo& operator=(const hour_link_memo&) = delete;
+
+  // True when this memo holds `view`'s link states for hour `at`.
+  bool serves(const network_view* view, hour_stamp at) const {
+    return view == view_ && at == at_;
+  }
+  const link_condition& state(link_index l, link_dir dir);
+
+ private:
+  const network_view* view_;
+  hour_stamp at_;
+  std::size_t entries_{0};
+  // One mapping: entries_ conditions, then entries_ filled flags.
+  void* pages_{nullptr};
+  std::size_t bytes_{0};
+  link_condition* conds_{nullptr};
+  unsigned char* filled_{nullptr};
 };
 
 }  // namespace clasp

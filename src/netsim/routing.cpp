@@ -75,9 +75,9 @@ endpoint route_planner::endpoint_of_address(ipv4_addr addr) const {
   return endpoint{owner, anchor, addr, std::nullopt};
 }
 
-bool route_planner::link_visible(city_id region_city, link_index l) const {
-  const double vis = region_policy(region_city).visibility;
-  return hash_unit(region_city.value, l.value, 0x71517151ULL) < vis;
+bool route_planner::link_visible(double visibility, city_id region_city,
+                                 link_index l) {
+  return hash_unit(region_city.value, l.value, 0x71517151ULL) < visibility;
 }
 
 bool route_planner::concentrated(city_id region_city, as_index a) const {
@@ -117,33 +117,34 @@ route_planner::cloud_link_ref route_planner::pick_premium_edge(
   const auto& candidates = cloud_links_for(a, via);
   const geo_database& geo = *net_->geo;
   const bool conc = sticky && concentrated(region_city, a);
-  const city_info& edge = geo.city(edge_city);
-  const city_info& region = geo.city(region_city);
+  const double visibility = region_policy(region_city).visibility;
   // Rank candidates, visible ones first. Concentrated flows prefer the
   // interconnect nearest the region. Everything else hands off near the
   // source (cold potato) but pays a penalty for geographic backtracking,
   // so a sparse footprint never routes Mumbai -> Singapore -> Europe when
-  // a link on the way exists.
+  // a link on the way exists. Distances come from the geo table, in
+  // haversine_km's argument order.
   struct ranked {
     const cloud_link_ref* link;
     double distance;
     bool visible;
   };
-  const double direct = haversine_km(edge, region);
-  std::vector<ranked> order;
-  order.reserve(candidates.size());
+  const double direct = geo.distance_km(edge_city, region_city);
+  // One buffer per thread: the planner is shared by campaign workers.
+  thread_local std::vector<ranked> order;
+  order.clear();
   for (const cloud_link_ref& c : candidates) {
-    const city_info& pop = geo.city(c.pop_city);
     double metric;
     if (conc) {
-      metric = haversine_km(pop, region);
+      metric = geo.distance_km(c.pop_city, region_city);
     } else {
-      const double to_pop = haversine_km(edge, pop);
-      const double backtrack =
-          std::max(0.0, to_pop + haversine_km(pop, region) - direct);
+      const double to_pop = geo.distance_km(edge_city, c.pop_city);
+      const double backtrack = std::max(
+          0.0, to_pop + geo.distance_km(c.pop_city, region_city) - direct);
       metric = to_pop + 0.5 * backtrack;
     }
-    order.push_back({&c, metric, link_visible(region_city, c.link)});
+    order.push_back(
+        {&c, metric, link_visible(visibility, region_city, c.link)});
   }
   if (order.empty()) {
     throw state_error("route_planner: no interconnect candidates");
@@ -193,8 +194,7 @@ route_planner::cloud_link_ref route_planner::pick_standard_edge(
   const cloud_link_ref* best = nullptr;
   double best_d = 1e18;
   for (const cloud_link_ref& c : cloud_links_for(via, via)) {
-    const double d =
-        haversine_km(geo.city(c.pop_city), geo.city(region_city));
+    const double d = geo.distance_km(c.pop_city, region_city);
     if (d < best_d) {
       best_d = d;
       best = &c;

@@ -102,6 +102,8 @@ class route_planner {
   std::size_t as_hops_to_destination(const route_path& path) const;
 
   const internet& net() const { return *net_; }
+  // The topology's prefix-to-AS table, built once with the planner.
+  const prefix2as_table& prefix2as() const { return prefix2as_; }
 
  private:
   struct cloud_link_ref {
@@ -129,7 +131,9 @@ class route_planner {
   cloud_link_ref pick_standard_edge(as_index a, city_id region_city,
                                     as_index& via) const;
 
-  bool link_visible(city_id region_city, link_index l) const;
+  // `visibility` is region_policy(region_city).visibility.
+  static bool link_visible(double visibility, city_id region_city,
+                           link_index l);
   bool concentrated(city_id region_city, as_index a) const;
 
   // Append the chain of routers/links inside one AS between two of its

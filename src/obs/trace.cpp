@@ -16,6 +16,8 @@ const char* to_string(phase p) {
     case phase::checkpoint: return "checkpoint";
     case phase::resume: return "resume";
     case phase::analysis: return "analysis";
+    case phase::world: return "world";
+    case phase::select: return "select";
   }
   return "?";
 }

@@ -18,7 +18,10 @@
 namespace clasp::obs {
 
 // Phase taxonomy (see DESIGN.md "Observability"). `stage` covers worker
-// evaluation of a whole hour (the paper-facing "evaluate" phase).
+// evaluation of a whole hour (the paper-facing "evaluate" phase). The
+// set-up phases are `world` (internet generation and server deployment,
+// once per platform), `select` (one region's pilot and topology
+// selection) and `deploy` (one campaign's deployment).
 enum class phase : std::uint8_t {
   deploy = 0,
   begin_hour,
@@ -28,8 +31,10 @@ enum class phase : std::uint8_t {
   checkpoint,
   resume,
   analysis,
+  world,
+  select,
 };
-inline constexpr std::size_t kPhaseCount = 8;
+inline constexpr std::size_t kPhaseCount = 10;
 
 const char* to_string(phase p);
 
@@ -39,7 +44,8 @@ const char* to_string(phase p);
 // evaluation, and the hot loop stays in the low tens of ns per span.
 inline constexpr bool cpu_timed(phase p) {
   return p == phase::deploy || p == phase::checkpoint ||
-         p == phase::resume || p == phase::analysis;
+         p == phase::resume || p == phase::analysis || p == phase::world ||
+         p == phase::select;
 }
 
 struct span_record {

@@ -19,9 +19,6 @@ std::optional<std::pair<ipv4_addr, asn>> bdrmap::find_border(
   const ipv4_prefix interconnect = cloud_interconnect_pool();
   const asn cloud = cloud_asn();
 
-  // Origin AS of the destination (fallback neighbor attribution).
-  const auto dst_origin = prefix2as_->lookup(trace.dst);
-
   for (std::size_t i = 0; i < trace.hops.size(); ++i) {
     const auto& hop = trace.hops[i];
     if (!hop.address || !interconnect.contains(*hop.address)) continue;
@@ -35,17 +32,18 @@ std::optional<std::pair<ipv4_addr, asn>> bdrmap::find_border(
       next_origin = prefix2as_->lookup(*trace.hops[j].address);
       break;
     }
-    if (!next_origin) next_origin = dst_origin;
+    // Fallback neighbor attribution: the destination's origin AS.
+    if (!next_origin) next_origin = prefix2as_->lookup(trace.dst);
     if (!next_origin || *next_origin == cloud) continue;
     return std::make_pair(*hop.address, *next_origin);
   }
   return std::nullopt;
 }
 
-void bdrmap::absorb(const traceroute_result& trace,
+bool bdrmap::absorb(const traceroute_result& trace,
                     bdrmap_result& result) const {
   const auto border = find_border(trace);
-  if (!border) return;
+  if (!border) return false;
   const auto [far, neighbor] = *border;
 
   // RTT to the far side: the hop's own RTT.
@@ -66,10 +64,14 @@ void bdrmap::absorb(const traceroute_result& trace,
     obs.path_count += 1;
     if (far_rtt < obs.min_rtt) obs.min_rtt = far_rtt;
   }
+  return true;
 }
 
 bdrmap_result bdrmap::run_pilot(const endpoint& vm, service_tier tier,
-                                hour_stamp at, rng& r) const {
+                                hour_stamp at, rng& r,
+                                hour_link_memo* memo) const {
+  std::optional<hour_link_memo> own_memo;
+  if (memo == nullptr) memo = &own_memo.emplace(&prober_->view(), at);
   bdrmap_result result;
   const internet& net = planner_->net();
 
@@ -87,13 +89,13 @@ bdrmap_result bdrmap::run_pilot(const endpoint& vm, service_tier tier,
         endpoint dst{a.index, p.anchor, target, std::nullopt};
         const route_path path = planner_->from_cloud(vm, dst, tier);
         // Unresponsive hops hide borders; scamper-style retries recover
-        // them (up to three attempts per target).
+        // them (up to three attempts per target). Links grow only when a
+        // border is found, so a found border alone ends the retries.
         for (int attempt = 0; attempt < 3; ++attempt) {
-          const traceroute_result trace = prober_->traceroute(path, at, r);
+          const traceroute_result trace =
+              prober_->traceroute(path, at, r, memo);
           ++result.traceroutes_run;
-          const std::size_t before = result.links.size();
-          absorb(trace, result);
-          if (find_border(trace) || result.links.size() > before) break;
+          if (absorb(trace, result)) break;
         }
       }
     }

@@ -47,13 +47,18 @@ class bdrmap {
          const prefix2as_table* prefix2as);
 
   // Analyze one traceroute and merge any border crossing into `result`.
-  void absorb(const traceroute_result& trace, bdrmap_result& result) const;
+  // Returns whether the trace crossed a border.
+  bool absorb(const traceroute_result& trace, bdrmap_result& result) const;
 
   // Full pilot scan from a VM endpoint: traceroute toward one address in
   // every announced host prefix of every non-cloud AS, using the given
-  // tier (the paper's pilot uses the default premium tier).
+  // tier (the paper's pilot uses the default premium tier). Every
+  // traceroute runs at `at`, so the scan reads link states through one
+  // hour_link_memo: its own, or the caller's when one is given (it must
+  // be for `at`).
   bdrmap_result run_pilot(const endpoint& vm, service_tier tier,
-                          hour_stamp at, rng& r) const;
+                          hour_stamp at, rng& r,
+                          hour_link_memo* memo = nullptr) const;
 
   // Extract the far-side crossing (if any) from a single traceroute.
   std::optional<std::pair<ipv4_addr, asn>> find_border(

@@ -21,19 +21,23 @@ millis prober::ping(const route_path& path, hour_stamp at, rng& r) const {
 }
 
 traceroute_result prober::traceroute(const route_path& path, hour_stamp at,
-                                     rng& r) const {
+                                     rng& r, hour_link_memo* memo) const {
   const topology& topo = view_->net().topo.operator*();
   traceroute_result out;
   out.src = path.src_addr;
   out.dst = path.dst_addr;
   out.at = at;
 
+  // Link-state reads draw nothing from `r`, so every delay can be taken
+  // in one walk before the per-hop draws.
+  std::vector<millis> delays;
+  view_->router_delays(path, at, delays, memo);
+  out.hops.reserve(path.routers.size() + (path.dst_access ? 1 : 0));
   unsigned ttl = 1;
   for (std::size_t i = 0; i < path.routers.size(); ++i) {
     traceroute_hop hop;
     hop.ttl = ttl++;
-    hop.rtt = view_->delay_to_router(path, i, at) * 2.0 +
-              millis{r.exponential(2.0)};
+    hop.rtt = delays[i] * 2.0 + millis{r.exponential(2.0)};
     if (!r.bernoulli(nonresponse_prob_)) {
       if (i == 0) {
         // First router: the probe arrives over the source access link, so
@@ -51,7 +55,7 @@ traceroute_result prober::traceroute(const route_path& path, hour_stamp at,
   if (path.dst_access) {
     traceroute_hop hop;
     hop.ttl = ttl;
-    const path_metrics m = view_->evaluate(path, at);
+    const path_metrics m = view_->evaluate(path, at, memo);
     hop.rtt = m.rtt + millis{r.exponential(2.0)};
     hop.address = path.dst_addr;
     out.hops.push_back(hop);

@@ -40,9 +40,13 @@ class prober {
   millis ping(const route_path& path, hour_stamp at, rng& r) const;
 
   // Paris-traceroute over a path: per-hop interfaces and RTTs. The final
-  // hop is the destination address when the endpoint is a host.
+  // hop is the destination address when the endpoint is a host. A memo
+  // for `at`, when given, serves the link states (a burst of traceroutes
+  // at one hour shares it); the result is the same either way.
   traceroute_result traceroute(const route_path& path, hour_stamp at,
-                               rng& r) const;
+                               rng& r, hour_link_memo* memo = nullptr) const;
+
+  const network_view& view() const { return *view_; }
 
  private:
   const route_planner* planner_;

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/trace.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -19,6 +20,62 @@ TEST(PlatformTest, SubstrateWired) {
   EXPECT_GT(p.registry().size(), 1000u);
   EXPECT_EQ(&p.view().net(), &p.net());
   EXPECT_EQ(&p.planner().net(), &p.net());
+}
+
+// Set-up is traced as one world span per platform, one select span per
+// region and one deploy span per campaign, each CPU-timed. The spans only
+// observe: with obs off the same regions select the same servers.
+TEST(PlatformTest, SetUpSpansCoverTheWorldAndEachRegion) {
+  const bool was_enabled = obs::enabled();
+  obs::trace_ring::instance().reset();
+  platform_config cfg;
+  cfg.internet = ::clasp::testing::small_internet_config();
+  cfg.internet.seed = 8080;
+  cfg.servers = ::clasp::testing::small_server_config();
+  cfg.obs_metrics = true;
+  const hour_stamp begin = topology_campaign_window().begin_at;
+  const hour_range window{begin, begin + 24};
+  const char* regions[] = {"us-west1", "us-west2", "us-west4",
+                           "us-east1", "us-east4", "us-central1"};
+
+  std::vector<std::vector<std::size_t>> traced;
+  {
+    clasp_platform p(cfg);
+    for (const char* region : regions) {
+      p.start_topology_campaign(region, window);
+      std::vector<std::size_t>& ids = traced.emplace_back();
+      for (const selected_server& s : p.select_topology(region).selected) {
+        ids.push_back(s.server_id);
+      }
+    }
+  }
+  const auto rollups = obs::trace_ring::instance().rollups();
+  const auto rollup = [&](obs::phase ph) {
+    return rollups[static_cast<std::size_t>(ph)];
+  };
+  EXPECT_EQ(rollup(obs::phase::world).count, 1u);
+  EXPECT_EQ(rollup(obs::phase::select).count, 6u);
+  EXPECT_EQ(rollup(obs::phase::deploy).count, 6u);
+  EXPECT_GT(rollup(obs::phase::world).cpu_ns, 0u);
+  EXPECT_GT(rollup(obs::phase::select).cpu_ns, 0u);
+
+  obs::set_enabled(false);
+  obs::trace_ring::instance().reset();
+  cfg.obs_metrics = false;
+  clasp_platform plain(cfg);
+  for (std::size_t i = 0; i < std::size(regions); ++i) {
+    std::vector<std::size_t> ids;
+    for (const selected_server& s :
+         plain.select_topology(regions[i]).selected) {
+      ids.push_back(s.server_id);
+    }
+    EXPECT_EQ(ids, traced[i]) << regions[i];
+  }
+  EXPECT_EQ(obs::trace_ring::instance().rollups()[static_cast<std::size_t>(
+                obs::phase::world)]
+                .count,
+            0u);
+  obs::set_enabled(was_enabled);
 }
 
 TEST(PlatformTest, TimezoneOfServerMatchesGeo) {

@@ -4,6 +4,7 @@
 
 #include <unordered_set>
 
+#include "setup_reference.hpp"
 #include "test_support.hpp"
 
 namespace clasp {
@@ -115,6 +116,65 @@ TEST(SelectionTest, NeighborsAreRealAses) {
   for (const selected_server& s : result.selected) {
     EXPECT_TRUE(p.net().topo->find_as(s.neighbor).has_value());
     EXPECT_NE(s.neighbor, cloud_asn());
+  }
+}
+
+// topology_selector::run (one hour_link_memo, the planner's prefix
+// table, absorb's border verdict) against the run it replaced (no memo,
+// a table built per run, find_border again after absorb), for the six
+// Fig. 2 regions at the platform's pilot hour and at a later re-pilot
+// hour. Everything the result reports must match value for value.
+TEST(SelectionTest, MemoizedRunMatchesReferenceInSixRegions) {
+  platform_config cfg;
+  cfg.internet = ::clasp::testing::small_internet_config();
+  cfg.internet.seed = 1;
+  cfg.servers = ::clasp::testing::small_server_config();
+  clasp_platform p(cfg);
+  const topology_selector selector(&p.planner(), &p.view(), &p.registry());
+  const topology_selection_config config;
+  const hour_stamp pilot_at = topology_campaign_window().begin_at + (-72);
+  for (const char* region : {"us-west1", "us-west2", "us-west4", "us-east1",
+                             "us-east4", "us-central1"}) {
+    const endpoint vm = p.cloud().vm_endpoint(
+        p.cloud().create_vm(region, service_tier::premium));
+    for (const hour_stamp at : {pilot_at, pilot_at + 24 * 75 + 13}) {
+      SCOPED_TRACE(std::string(region) + " at hour " +
+                   std::to_string(at.hours_since_epoch()));
+      rng got_r(hash_tag(7, region));
+      rng want_r(hash_tag(7, region));
+      const topology_selection_result got =
+          selector.run(vm, config, at, got_r);
+      const topology_selection_result want = reference::select(
+          p.planner(), p.view(), p.registry(), vm, config, at, want_r);
+
+      EXPECT_EQ(got.pilot.traceroutes_run, want.pilot.traceroutes_run);
+      ASSERT_EQ(got.pilot.links.size(), want.pilot.links.size());
+      for (std::size_t i = 0; i < got.pilot.links.size(); ++i) {
+        const border_observation& g = got.pilot.links[i];
+        const border_observation& w = want.pilot.links[i];
+        EXPECT_EQ(g.far_side, w.far_side);
+        EXPECT_EQ(g.neighbor, w.neighbor);
+        EXPECT_EQ(g.min_rtt.value, w.min_rtt.value);
+        EXPECT_EQ(g.path_count, w.path_count);
+      }
+      EXPECT_EQ(got.servers_probed, want.servers_probed);
+      EXPECT_EQ(got.links_traversed_by_servers,
+                want.links_traversed_by_servers);
+      EXPECT_EQ(got.shared_interconnect_fraction,
+                want.shared_interconnect_fraction);
+      ASSERT_EQ(got.selected.size(), want.selected.size());
+      for (std::size_t i = 0; i < got.selected.size(); ++i) {
+        const selected_server& g = got.selected[i];
+        const selected_server& w = want.selected[i];
+        EXPECT_EQ(g.server_id, w.server_id);
+        EXPECT_EQ(g.far_side, w.far_side);
+        EXPECT_EQ(g.neighbor, w.neighbor);
+        EXPECT_EQ(g.as_path_len, w.as_path_len);
+        EXPECT_EQ(g.rtt.value, w.rtt.value);
+      }
+      // Both runs drew the same number of values.
+      EXPECT_EQ(got_r(), want_r());
+    }
   }
 }
 

@@ -69,6 +69,19 @@ TEST(GeoTest, HaversineSymmetricAndZero) {
   EXPECT_DOUBLE_EQ(haversine_km(a, a), 0.0);
 }
 
+TEST(GeoTest, DistanceTableMatchesHaversineForEveryOrderedPair) {
+  const geo_database db = geo_database::builtin();
+  for (const city_info& a : db.cities()) {
+    for (const city_info& b : db.cities()) {
+      ASSERT_EQ(db.distance_km(a.id, b.id), haversine_km(a, b))
+          << a.name << " -> " << b.name;
+    }
+  }
+  const city_id past_end{static_cast<std::uint32_t>(db.size())};
+  EXPECT_THROW(db.distance_km(past_end, city_id{0}), not_found_error);
+  EXPECT_THROW(db.distance_km(city_id{0}, past_end), not_found_error);
+}
+
 TEST(GeoTest, PropagationDelayScalesWithDistance) {
   const geo_database db = geo_database::builtin();
   const millis near = propagation_delay(db.city_by_name("San Jose, CA"),

@@ -66,6 +66,35 @@ TEST_F(RoutingTest, NullNetRejected) {
   EXPECT_THROW(route_planner(nullptr), invalid_argument_error);
 }
 
+// Topology selection reads the planner's prefix table instead of building
+// its own: it must answer as a freshly built table does, at every prefix
+// edge (first, last and the addresses just outside) and in unrouted space.
+TEST_F(RoutingTest, PrefixTableMatchesAFreshBuild) {
+  const prefix2as_table fresh = net_.topo->build_prefix2as();
+  const prefix2as_table& table = planner_.prefix2as();
+  EXPECT_EQ(table.size(), fresh.size());
+  std::size_t probed = 0;
+  const auto expect_same = [&](std::uint64_t a) {
+    if (a > 0xFFFFFFFFull) return;
+    const ipv4_addr addr{static_cast<std::uint32_t>(a)};
+    ASSERT_EQ(table.lookup(addr), fresh.lookup(addr)) << addr.to_string();
+    ++probed;
+  };
+  for (const auto& [prefix, origin] : fresh.entries()) {
+    const std::uint64_t first = prefix.base().value();
+    const std::uint64_t last = first + prefix.size() - 1;
+    expect_same(first);
+    expect_same(last);
+    if (first > 0) expect_same(first - 1);
+    expect_same(last + 1);
+  }
+  for (const char* unrouted : {"0.0.0.0", "8.8.8.8", "255.255.255.255"}) {
+    const ipv4_addr addr = ipv4_addr::parse(unrouted);
+    EXPECT_EQ(table.lookup(addr), fresh.lookup(addr));
+  }
+  EXPECT_GE(probed, 2 * fresh.size());
+}
+
 TEST_F(RoutingTest, ToCloudPremiumIsConnected) {
   const route_path p =
       planner_.to_cloud(transit_vp(), vm_, service_tier::premium);

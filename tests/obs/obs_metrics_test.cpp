@@ -161,11 +161,14 @@ TEST_F(ObsMetricsTest, PrometheusExpositionGolden) {
       "clasp_demo_seconds_count 3\n";
   ASSERT_GE(text.size(), expected_head.size());
   EXPECT_EQ(text.substr(0, expected_head.size()), expected_head);
-  // The empty ring still expose all eight phases, zeroed.
-  EXPECT_NE(text.find("clasp_span_count_total{phase=\"deploy\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("clasp_span_count_total{phase=\"analysis\"} 0\n"),
-            std::string::npos);
+  // The empty ring still exposes every phase, zeroed, set-up phases too.
+  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+    const std::string name = obs::to_string(static_cast<obs::phase>(i));
+    EXPECT_NE(name, "?");
+    const std::string line =
+        "clasp_span_count_total{phase=\"" + name + "\"} 0\n";
+    EXPECT_NE(text.find(line), std::string::npos) << name;
+  }
   EXPECT_NE(text.find("# TYPE clasp_span_wall_seconds_total counter\n"),
             std::string::npos);
 }
@@ -206,6 +209,17 @@ TEST_F(ObsMetricsTest, TraceRingBoundsAndRollups) {
   EXPECT_TRUE(ring.recent().empty());
   EXPECT_EQ(ring.rollups()[static_cast<std::size_t>(obs::phase::commit)].count,
             0u);
+}
+
+TEST_F(ObsMetricsTest, SetUpPhasesAreCpuTimed) {
+  // World generation and each region's selection are one-off heavyweight
+  // phases, timed in CPU like deploy.
+  EXPECT_TRUE(obs::cpu_timed(obs::phase::world));
+  EXPECT_TRUE(obs::cpu_timed(obs::phase::select));
+  EXPECT_TRUE(obs::cpu_timed(obs::phase::deploy));
+  EXPECT_FALSE(obs::cpu_timed(obs::phase::stage));
+  EXPECT_STREQ(obs::to_string(obs::phase::world), "world");
+  EXPECT_STREQ(obs::to_string(obs::phase::select), "select");
 }
 
 TEST_F(ObsMetricsTest, TraceSpanRecordsIntoGlobalRing) {

@@ -9,11 +9,14 @@ two budgets held:
      warm-checkpoint figure only has to exist and be positive, since it
      rebuilds a platform just like cold does.
   2. Throughput — time-slicing 1/4/8 concurrent campaigns must keep
-     aggregate simulated hours/sec at >= 0.9x the same campaign set run
+     aggregate throughput at >= 0.9x the same campaign set run
      back-to-back in batch mode (scheduling + registry persistence +
      session switching all inside 10%), and every harvested CSV must be
      byte-identical to its batch twin — identity is a contract, not a
-     budget.
+     budget. Throughput is compared in process CPU time (`cpu_ratio`):
+     both legs run on one thread, and CPU time leaves out the time a
+     shared host kept the process waiting for a CPU. The wall-time
+     `ratio` is printed alongside.
 
 Usage: check_bench_service.py BENCH_service.json
 """
@@ -59,10 +62,10 @@ def main():
         if not run.get("output_identical"):
             fail(f"{n}-concurrent run's harvested CSVs diverged from the "
                  "batch twins")
-        ratio = run.get("ratio", 0.0)
+        ratio = run.get("cpu_ratio", 0.0)
         if ratio < THROUGHPUT_RATIO_FLOOR:
-            fail(f"{n}-concurrent throughput is {ratio:.3f}x sequential "
-                 f"batch (floor {THROUGHPUT_RATIO_FLOOR})")
+            fail(f"{n}-concurrent CPU throughput is {ratio:.3f}x "
+                 f"sequential batch (floor {THROUGHPUT_RATIO_FLOOR})")
         if run.get("hours_per_sec", 0.0) <= 0.0:
             fail(f"{n}-concurrent run reports no progress")
     multi = by_n[8]
@@ -71,7 +74,10 @@ def main():
              "never actually time-sliced")
 
     print("bench gate: OK: "
-          f"cold {cold}s vs warm-resident {warm_resident}s; ratios " +
+          f"cold {cold}s vs warm-resident {warm_resident}s; CPU ratios " +
+          ", ".join(f"{n}x={by_n[n].get('cpu_ratio'):.3f}"
+                    for n in sorted(by_n)) +
+          "; wall ratios " +
           ", ".join(f"{n}x={by_n[n].get('ratio'):.3f}"
                     for n in sorted(by_n)))
 
