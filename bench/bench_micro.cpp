@@ -188,15 +188,12 @@ void BM_LatencyProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyProbe);
 
-// One session's someta sample on the paper's machine type.
+// One test's someta CPU model on the paper's machine type.
 void BM_SometaSample(benchmark::State& state) {
   const machine_type& n1 = machine_type_by_name("n1-standard-2");
   rng r(1);
-  std::int64_t h = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        record_test_metadata(n1, mbps{600.0}, hour_stamp{h++}, r)
-            .cpu_utilization);
+    benchmark::DoNotOptimize(test_cpu_utilization(n1, mbps{600.0}, r));
   }
 }
 BENCHMARK(BM_SometaSample);

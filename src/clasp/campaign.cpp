@@ -567,7 +567,8 @@ void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
   }
   out.at = at;
   out.points.clear();
-  out.someta.clear();
+  out.saturated_tests = 0;
+  out.peak_cpu = 0.0;
   out.outcomes.clear();
   out.charges.reset();
   out.tests_run = 0;
@@ -661,8 +662,9 @@ void campaign_runner::stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
         if (attempts > config_.faults.max_retries) break;  // give up
         continue;
       }
-      out.someta.push_back(
-          record_test_metadata(machine, report.download, at, r));
+      const double cpu = test_cpu_utilization(machine, report.download, r);
+      if (cpu_saturated(cpu)) ++out.saturated_tests;
+      out.peak_cpu = std::max(out.peak_cpu, cpu);
       const session_series& refs = series_refs_[si];
       out.points.push_back({refs.download, report.download.value});
       out.points.push_back({refs.upload, report.upload.value});
@@ -786,7 +788,8 @@ void campaign_runner::commit_vm_hour(std::size_t vm_slot,
     if (down != 0) metrics_.fault_vm_down_hours->add(down);
     if (staged.upload_failed) metrics_.upload_failures->add(1);
   }
-  someta_.at(vm_slot).absorb(std::move(staged.someta));
+  someta_.at(vm_slot).absorb(staged.tests_run, staged.saturated_tests,
+                             staged.peak_cpu);
   cloud_->apply(staged.charges);
   tests_run_ += staged.tests_run;
   tests_missed_ += staged.tests_missed;

@@ -13,7 +13,7 @@
 // per-VM test loops out across a worker pool. Every (VM slot, hour) owns
 // a counter-based RNG stream derived from the campaign seed, so the draws
 // a VM sees never depend on scheduling; workers accumulate their results
-// (TSDB points, someta samples, billing charges, artifact uploads) into a
+// (TSDB points, someta summary, billing charges, artifact uploads) into a
 // thread-local staging buffer, and the coordinating thread merges the
 // buffers in VM-slot order. Results are bit-identical for any worker
 // count, including 1 (see DESIGN.md, "Concurrency model & determinism").
@@ -229,7 +229,8 @@ class campaign_runner {
   struct vm_hour_staging {
     hour_stamp at;                             // the staged hour
     std::vector<staged_point> points;          // six per completed test
-    std::vector<vm_metadata_sample> someta;    // one per completed test
+    std::size_t saturated_tests{0};            // someta: CPU-saturated tests
+    double peak_cpu{0.0};                      // someta: highest CPU use
     std::vector<staged_outcome> outcomes;      // one per assigned session
     charge_sheet charges;                      // VM-hour + egress + upload
     std::size_t tests_run{0};
@@ -244,7 +245,7 @@ class campaign_runner {
   // state_error unless evaluate_hour(at) was the last sweep.
   void stage_vm_hour_into(std::size_t vm_slot, hour_stamp at,
                           vm_hour_staging& out) const;
-  // Merge one staged VM-hour: TSDB appends, someta samples, billing.
+  // Merge one staged VM-hour: TSDB appends, someta summary, billing.
   // Coordinator thread only; call in ascending vm_slot order.
   void commit_vm_hour(std::size_t vm_slot, vm_hour_staging&& staged);
 
@@ -456,11 +457,9 @@ class campaign_runner {
 
   // Durability internals (checkpoint.cpp). Without `full`, ledger.bin:
   // the outage windows, the counters, the cloud and the swarm ledgers.
-  // `full` is state.bin: the same with the health tallies and someta
-  // samples (what re-executing hours rebuilds; handed to `spill` a VM at
-  // a time) after the counters.
-  void save_state(binary_writer& out, bool full,
-                  const std::function<void()>& spill = {}) const;
+  // `full` is state.bin: the same with the health tallies and each VM's
+  // someta summary (what re-executing hours rebuilds) after the counters.
+  void save_state(binary_writer& out, bool full) const;
   void load_state(binary_reader& in, bool full);
   // The outage windows that open both files.
   void load_outages(binary_reader& in);
@@ -510,7 +509,7 @@ class campaign_runner {
   std::string artifact_prefix_;   // "raw/<label>/", built once at deploy
   std::unique_ptr<thread_pool> pool_;  // null when workers == 1
   // Reused hourly staging slots (capacity survives across hours; commit
-  // moves only the someta samples out).
+  // reads them in place and moves nothing out).
   std::vector<vm_hour_staging> staging_;
   std::size_t tests_run_{0};
   std::size_t tests_missed_{0};

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -79,22 +78,20 @@ std::string encode_manifest(const checkpoint_info& info) {
   return out.take();
 }
 
-void put_sample(binary_writer& out, const vm_metadata_sample& s) {
-  out.svarint(s.at.hours_since_epoch());
-  out.f64(s.cpu_utilization);
-  out.f64(s.memory_gb);
-  out.f64(s.io_wait);
-  out.boolean(s.cpu_saturated);
-}
-
-vm_metadata_sample get_sample(binary_reader& in) {
-  vm_metadata_sample s;
-  s.at = hour_stamp{in.svarint()};
-  s.cpu_utilization = in.f64();
-  s.memory_gb = in.f64();
-  s.io_wait = in.f64();
-  s.cpu_saturated = in.boolean();
-  return s;
+// A someta summary as it travels: `tests` is carried beside it (each
+// VM's count in state.bin, tests_run in a shard record). Throws
+// invalid_argument_error, naming `what`, for a summary no run of tests
+// can produce.
+void check_someta(std::uint64_t tests, std::uint64_t saturated, double peak,
+                  const char* what) {
+  if (saturated > tests) {
+    throw invalid_argument_error(std::string(what) +
+                                 ": more saturated tests than tests");
+  }
+  if (!(peak >= 0.0 && peak <= 1.0)) {
+    throw invalid_argument_error(std::string(what) +
+                                 ": peak CPU outside [0, 1]");
+  }
 }
 
 // Whether `attempts` slots can have produced `outcome` in an hour of
@@ -204,8 +201,7 @@ std::uint64_t campaign_runner::fingerprint() const {
   return hash_tag(kCheckpointVersion, id.bytes());
 }
 
-void campaign_runner::save_state(binary_writer& out, bool full,
-                                  const std::function<void()>& spill) const {
+void campaign_runner::save_state(binary_writer& out, bool full) const {
   // Full outage windows (plan + manual injections) first: vm_down must
   // answer identically in the resumed process, also while resume
   // re-executes the hours since the base, so resume reads them from the
@@ -224,9 +220,8 @@ void campaign_runner::save_state(binary_writer& out, bool full,
   out.varint(upload_failures_);
   out.boolean(storage_billed_);
   if (full) {
-    // What re-executing hours rebuilds: the health tallies and every
-    // someta sample. By far the bulk of state.bin, so it leaves through
-    // `spill` a recorder at a time.
+    // What re-executing hours rebuilds: the health tallies and each VM's
+    // someta summary.
     out.varint(tallies_.size());
     for (const session_tally& t : tallies_) {
       out.varint(t.completed);
@@ -238,9 +233,10 @@ void campaign_runner::save_state(binary_writer& out, bool full,
     }
     out.varint(someta_.size());
     for (const someta_recorder& rec : someta_) {
-      out.varint(rec.samples().size());
-      for (const vm_metadata_sample& s : rec.samples()) put_sample(out, s);
-      if (spill) spill();
+      const someta_summary& sum = rec.summary();
+      out.varint(sum.tests);
+      out.varint(sum.saturated);
+      out.f64(sum.peak_cpu);
     }
   }
   cloud_->save_state(out);
@@ -291,11 +287,13 @@ void campaign_runner::load_state(binary_reader& in, bool full) {
       throw state_error("checkpoint: VM count mismatch (someta)");
     }
     for (someta_recorder& rec : someta_) {
-      // svarint + 3 f64 + bool per sample, so a corrupt count is refused
-      // before it sizes anything.
-      std::vector<vm_metadata_sample> samples(in.count(26));
-      for (vm_metadata_sample& s : samples) s = get_sample(in);
-      rec.restore_samples(std::move(samples));
+      someta_summary sum;
+      sum.tests = static_cast<std::size_t>(in.varint());
+      sum.saturated = static_cast<std::size_t>(in.varint());
+      sum.peak_cpu = in.f64();
+      check_someta(sum.tests, sum.saturated, sum.peak_cpu,
+                   "checkpoint: someta summary");
+      rec.restore(sum);
     }
   }
   cloud_->load_state(in);
@@ -321,8 +319,8 @@ std::string campaign_runner::encode_wal_record(
     out.varint(p.ref);
     out.f64(p.value);
   }
-  out.varint(staged.someta.size());
-  for (const vm_metadata_sample& s : staged.someta) put_sample(out, s);
+  out.varint(staged.saturated_tests);
+  out.f64(staged.peak_cpu);
   out.varint(staged.outcomes.size());
   for (const staged_outcome& o : staged.outcomes) {
     out.varint(o.session);
@@ -363,7 +361,6 @@ std::size_t campaign_runner::decode_wal_record(std::string_view payload,
   if (vm_slot >= vms_.size()) bad("names a VM slot outside the fleet");
   out.at = hour_stamp{in.svarint()};
   out.points.clear();
-  out.someta.clear();
   out.outcomes.clear();
   out.charges.reset();
   const std::size_t n_points = in.count(9);  // varint ref + f64
@@ -376,11 +373,8 @@ std::size_t campaign_runner::decode_wal_record(std::string_view payload,
     }
     out.points.push_back({static_cast<series_ref>(ref), in.f64()});
   }
-  const std::size_t n_someta = in.count(26);  // svarint + 3 f64 + bool
-  out.someta.reserve(n_someta);
-  for (std::size_t i = 0; i < n_someta; ++i) {
-    out.someta.push_back(get_sample(in));
-  }
+  const std::uint64_t saturated = in.varint();
+  const double peak_cpu = in.f64();
   const std::size_t n_outcomes = in.count(3);  // varint + two bytes
   out.outcomes.reserve(n_outcomes);
   for (std::size_t i = 0; i < n_outcomes; ++i) {
@@ -414,7 +408,11 @@ std::size_t campaign_runner::decode_wal_record(std::string_view payload,
     std::string name = in.str();
     out.charges.add_put(std::move(region), std::move(name), in.f64());
   }
-  out.tests_run = static_cast<std::size_t>(in.varint());
+  const std::uint64_t tests_run = in.varint();
+  check_someta(tests_run, saturated, peak_cpu, "vm-hour record someta");
+  out.tests_run = static_cast<std::size_t>(tests_run);
+  out.saturated_tests = static_cast<std::size_t>(saturated);
+  out.peak_cpu = peak_cpu;
   out.tests_missed = static_cast<std::size_t>(in.varint());
   out.upload_failed = in.boolean();
   if (!in.done()) {
@@ -489,16 +487,11 @@ void campaign_runner::checkpoint(const std::string& dir) {
       fs::create_directories(staging);
       if (full) {
         store_->snapshot_to((staging / "tsdb.snap").string());
-        const fs::path state_path = staging / "state.bin";
-        inject_write_failure(state_path);
-        std::ofstream state_file(state_path, std::ios::binary);
-        crc_trailer_writer state(state_file);
-        save_state(state.buffer(), /*full=*/true, [&state] { state.spill(); });
-        written += fs::file_size(staging / "tsdb.snap") + state.close();
-        if (!state_file) {
-          throw storage_error("checkpoint: cannot write " +
-                              state_path.string());
-        }
+        binary_writer state;
+        save_state(state, /*full=*/true);
+        write_checkpoint_file(staging / "state.bin", state.bytes());
+        written += fs::file_size(staging / "tsdb.snap") +
+                   state.bytes().size() + 4;
       }
       write_checkpoint_file(staging / "ledger.bin", ledger.bytes());
       const std::string manifest = encode_manifest(next);

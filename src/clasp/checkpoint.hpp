@@ -75,7 +75,9 @@ namespace clasp {
 // of tsdb.snap + state.bin.
 // v4: recovery by re-execution. The MANIFEST names only its base; the
 // WAL and its segments are gone.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+// v5: state.bin carries each VM's someta summary (tests, saturated
+// tests, peak CPU) instead of its per-test sample history.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 // Parsed MANIFEST of one checkpoint.
 struct checkpoint_info {

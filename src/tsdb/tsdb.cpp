@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <istream>
 #include <ostream>
 #include <set>
+#include <system_error>
 #include <unordered_set>
 #include <utility>
 
@@ -221,22 +223,40 @@ void tsdb::snapshot_to(const std::string& path) const {
 }
 
 void tsdb::restore_from(std::istream& is) {
-  const std::string content((std::istreambuf_iterator<char>(is)),
-                            std::istreambuf_iterator<char>());
-  restore_payload(check_crc_trailer(content, "tsdb snapshot"));
+  // Every count is bounded by the bytes left, so the stream is sized
+  // first; it is then read once, a chunk at a time.
+  const std::istream::pos_type start = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(start);
+  if (start == std::istream::pos_type(-1) ||
+      end == std::istream::pos_type(-1) || !is) {
+    throw invalid_argument_error("tsdb snapshot: cannot size the stream");
+  }
+  restore_stream(is, static_cast<std::uint64_t>(end - start),
+                 "tsdb snapshot");
 }
 
 void tsdb::restore_from(const std::string& path) {
-  // One sized read (read_crc_file) instead of a character stream: every
-  // resume starts here, with a snapshot of tens of megabytes.
-  restore_payload(read_crc_file(path));
+  // Sized from the file. Anything but a regular file (a directory, say)
+  // sizes as empty, hence "truncated", rather than as its seek reports.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw not_found_error("cannot read " + path);
+  restore_stream(in, ec ? 0 : static_cast<std::uint64_t>(size), path);
 }
 
-void tsdb::restore_payload(std::string_view payload) {
+void tsdb::restore_stream(std::istream& is, std::uint64_t bytes,
+                          const std::string& what) {
   obs::metrics_registry::instance()
       .get_counter(obs::family::kTsdbRestores)
       .add(1);
-  binary_reader in(payload);
+  // Decoded a window at a time under the running CRC, the way
+  // snapshot_to writes, into local state swapped in only once the
+  // trailer matched: a failed restore never clobbers the store.
+  crc_trailer_reader file(is, bytes, what);
+  binary_reader& in = file.window(8);
   if (in.u32() != kSnapshotMagic) {
     throw invalid_argument_error("tsdb: bad snapshot magic");
   }
@@ -247,23 +267,26 @@ void tsdb::restore_payload(std::string_view payload) {
   std::unordered_map<std::string, std::size_t> index;
   std::unordered_map<std::string, std::vector<std::size_t>> by_metric;
   // Each series is at least a metric string, a tag count and a point count.
-  const std::size_t n_series = in.count(3);
+  const std::size_t n_series = file.count(3);
   series.reserve(n_series);
+  // A point is an svarint hour delta and an f64.
+  constexpr std::size_t kMaxPointBytes = kMaxVarintBytes + 8;
   for (std::size_t i = 0; i < n_series; ++i) {
-    std::string metric = in.str();
+    std::string metric = file.str();
     tag_set tags;
-    const std::uint64_t n_tags = in.varint();
+    const std::uint64_t n_tags = file.window(kMaxVarintBytes).varint();
     for (std::uint64_t t = 0; t < n_tags; ++t) {
-      std::string key = in.str();
-      tags.emplace(std::move(key), in.str());
+      std::string key = file.str();
+      tags.emplace(std::move(key), file.str());
     }
     ts_series s(metric, tags);
     // Each point is at least a 1-byte hour delta and an f64, so a hostile
     // count is refused here before it can size the column.
-    const std::size_t n_points = in.count(9);
+    const std::size_t n_points = file.count(9);
     s.reserve(n_points);
     std::int64_t prev_hour = 0;
     for (std::size_t p = 0; p < n_points; ++p) {
+      if (in.left() < kMaxPointBytes) file.window(kMaxPointBytes);
       if (__builtin_add_overflow(prev_hour, in.svarint(), &prev_hour)) {
         throw invalid_argument_error("tsdb: snapshot hour out of range");
       }
@@ -273,9 +296,10 @@ void tsdb::restore_payload(std::string_view payload) {
     by_metric[metric].push_back(series.size());
     series.push_back(std::move(s));
   }
-  if (!in.done()) {
+  if (!file.done()) {
     throw invalid_argument_error("tsdb: trailing bytes in snapshot");
   }
+  file.close();
   series_ = std::move(series);
   index_ = std::move(index);
   by_metric_ = std::move(by_metric);

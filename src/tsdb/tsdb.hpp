@@ -295,9 +295,11 @@ class tsdb {
   // codec's bounded buffer, so a snapshot never holds the payload in
   // memory. restore_from replaces the store's contents, sizes each value
   // column exactly, and throws invalid_argument_error on a corrupt,
-  // truncated or version-mismatched snapshot. The path overloads throw
-  // not_found_error when the file cannot be opened; restore_from(path)
-  // reads the file in one sized read.
+  // truncated or version-mismatched snapshot. It reads the same way, a
+  // chunk at a time under a running CRC, so a restore never holds the
+  // file beside the store it builds; the stream overload therefore
+  // needs a seekable stream. The path overloads throw not_found_error
+  // when the file cannot be opened.
   void snapshot_to(std::ostream& os) const;
   void snapshot_to(const std::string& path) const;
   void restore_from(std::istream& is);
@@ -306,8 +308,10 @@ class tsdb {
  private:
   static std::string series_key(const std::string& metric,
                                 const tag_set& tags);
-  // The restore proper, over a payload whose CRC trailer was checked.
-  void restore_payload(std::string_view payload);
+  // The restore proper, over a stream of `bytes` bytes (payload and
+  // trailer); errors name `what`.
+  void restore_stream(std::istream& is, std::uint64_t bytes,
+                      const std::string& what);
   [[noreturn]] static void throw_bad_ref();
 
   std::vector<ts_series> series_;

@@ -168,15 +168,19 @@ std::int64_t binary_reader::svarint() {
 
 double binary_reader::f64() { return std::bit_cast<double>(u64()); }
 
-std::size_t binary_reader::count(std::size_t min_item_bytes) {
-  const std::uint64_t n = varint();
-  const std::size_t left = bytes_.size() - pos_;
+std::size_t check_count(std::uint64_t n, std::uint64_t left,
+                        std::size_t min_item_bytes) {
   if (n > left / std::max<std::size_t>(min_item_bytes, 1)) {
     throw invalid_argument_error("binio: count " + std::to_string(n) +
                                  " exceeds the " + std::to_string(left) +
                                  " bytes left");
   }
   return static_cast<std::size_t>(n);
+}
+
+std::size_t binary_reader::count(std::size_t min_item_bytes) {
+  const std::uint64_t n = varint();
+  return check_count(n, left(), min_item_bytes);
 }
 
 std::string binary_reader::str() {

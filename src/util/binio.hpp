@@ -48,6 +48,16 @@ class binary_writer {
   std::string buf_;
 };
 
+// The longest varint binary_writer emits (a 64-bit value).
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+// The check behind binary_reader::count, for decoders that know the
+// bytes left some other way: returns `n` when n items of at least
+// `min_item_bytes` (>= 1) bytes each fit in `left` bytes, and throws
+// invalid_argument_error otherwise.
+std::size_t check_count(std::uint64_t n, std::uint64_t left,
+                        std::size_t min_item_bytes);
+
 // Decoder matching binary_writer. Throws invalid_argument_error on
 // truncated input or varint overflow; the caller is expected to have
 // CRC-validated the buffer first, so a throw here means a logic (format)
@@ -72,6 +82,7 @@ class binary_reader {
 
   bool done() const { return pos_ == bytes_.size(); }
   std::size_t pos() const { return pos_; }
+  std::size_t left() const { return bytes_.size() - pos_; }
 
  private:
   [[noreturn]] static void throw_truncated();

@@ -1,7 +1,9 @@
 #include "util/frame.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -42,6 +44,67 @@ std::uint64_t crc_trailer_writer::close() {
   os_.write(buf_.bytes().data(), 4);
   os_.flush();
   return bytes_ + 4;
+}
+
+crc_trailer_reader::crc_trailer_reader(std::istream& is,
+                                       std::uint64_t stream_bytes,
+                                       std::string what)
+    : is_(is), what_(std::move(what)) {
+  if (stream_bytes < 4) throw invalid_argument_error(what_ + ": truncated");
+  unread_ = stream_bytes - 4;
+  buf_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(unread_, kChunk)));
+}
+
+void crc_trailer_reader::read_into(char* at, std::size_t n) {
+  is_.read(at, static_cast<std::streamsize>(n));
+  if (static_cast<std::size_t>(is_.gcount()) != n) {
+    throw invalid_argument_error(what_ + ": truncated");
+  }
+}
+
+binary_reader& crc_trailer_reader::window(std::size_t n) {
+  begin_ += reader_.pos();
+  const std::size_t have = buf_.size() - begin_;
+  if (have < n && unread_ != 0) {
+    // Keep the unconsumed tail, then fill the buffer behind it: a whole
+    // chunk when the stream holds one, the rest of the payload otherwise,
+    // and never less than n (a long string grows the buffer).
+    buf_.erase(0, begin_);
+    const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
+        unread_, std::max(n, kChunk) - have));
+    buf_.resize(have + want);
+    read_into(buf_.data() + have, want);
+    crc_ = crc32(std::string_view(buf_).substr(have), crc_);
+    unread_ -= want;
+    begin_ = 0;
+  }
+  reader_ = binary_reader(std::string_view(buf_).substr(begin_));
+  return reader_;
+}
+
+std::size_t crc_trailer_reader::count(std::size_t min_item_bytes) {
+  const std::uint64_t n = window(kMaxVarintBytes).varint();
+  return check_count(n, left(), min_item_bytes);
+}
+
+std::string crc_trailer_reader::str() {
+  binary_reader length = window(kMaxVarintBytes);
+  const std::uint64_t n = length.varint();
+  if (n > left() - length.pos()) {
+    throw invalid_argument_error(what_ + ": truncated");
+  }
+  return window(length.pos() + static_cast<std::size_t>(n)).str();
+}
+
+void crc_trailer_reader::close() {
+  if (!done()) throw invalid_argument_error(what_ + ": trailing bytes");
+  char trailer[4];
+  read_into(trailer, sizeof(trailer));
+  if (binary_reader(std::string_view(trailer, sizeof(trailer))).u32() !=
+      crc_) {
+    throw invalid_argument_error(what_ + ": CRC mismatch");
+  }
 }
 
 std::string_view check_crc_trailer(std::string_view content,

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -86,6 +87,50 @@ class crc_trailer_writer {
   binary_writer buf_;
   std::uint32_t crc_{0};
   std::uint64_t bytes_{0};
+};
+
+// Reads what crc_trailer_writer wrote: a payload of `stream_bytes` less
+// the trailer, through a bounded window folded into a running CRC, so a
+// large payload is never one string. The CRC is known only at close(),
+// so a caller decodes into state it can drop and keeps it only once
+// close() returns. Every failure (a short stream, a truncated payload, a
+// CRC mismatch) is invalid_argument_error naming `what`.
+class crc_trailer_reader {
+ public:
+  crc_trailer_reader(std::istream& is, std::uint64_t stream_bytes,
+                     std::string what);
+
+  // The reader, re-aimed at the unconsumed payload with at least
+  // min(n, left()) bytes in view. It is the same object on every call:
+  // what the caller consumes through it counts as read from then on.
+  binary_reader& window(std::size_t n);
+  // Payload bytes not yet consumed.
+  std::uint64_t left() const {
+    return unread_ + (buf_.size() - begin_) - reader_.pos();
+  }
+  bool done() const { return left() == 0; }
+  // binary_reader::count, bounded by the bytes left in the whole payload.
+  std::size_t count(std::size_t min_item_bytes);
+  // binary_reader::str, for strings that may span more than a window.
+  std::string str();
+  // Reads the trailer and checks it against the payload's CRC; a payload
+  // not yet consumed is refused as trailing bytes.
+  void close();
+
+ private:
+  static constexpr std::size_t kChunk = std::size_t{1} << 20;
+
+  // Reads exactly `n` bytes from the stream, failing as truncated when
+  // it ends first.
+  void read_into(char* at, std::size_t n);
+
+  std::istream& is_;
+  std::string what_;
+  std::string buf_;          // payload bytes read and not yet dropped
+  std::size_t begin_{0};     // first byte in buf_ the reader looks at
+  std::uint64_t unread_{0};  // payload bytes still in the stream
+  std::uint32_t crc_{0};
+  binary_reader reader_{std::string_view{}};
 };
 
 // Returns the payload of `content` (payload + crc32 trailer). Throws

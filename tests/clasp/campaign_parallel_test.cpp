@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -114,7 +115,7 @@ struct campaign_snapshot {
   std::size_t tests_run{0};
   std::size_t tests_missed{0};
   unsigned effective_workers{0};
-  std::vector<std::vector<vm_metadata_sample>> someta;  // per VM slot
+  std::vector<someta_summary> someta;  // per VM slot
   std::string csv;  // export_csv of all six metrics, concatenated
 };
 
@@ -135,7 +136,7 @@ campaign_snapshot snapshot_of(clasp_platform& p, campaign_runner& c) {
   snap.tests_missed = c.tests_missed();
   snap.effective_workers = c.workers();
   for (std::size_t v = 0; v < c.vm_count(); ++v) {
-    snap.someta.push_back(c.metadata(v).samples());
+    snap.someta.push_back(c.metadata(v).summary());
   }
   std::ostringstream csv;
   for (const char* metric : kMetrics) p.store().export_csv(csv, metric);
@@ -202,14 +203,11 @@ void expect_identical(const campaign_snapshot& a, const campaign_snapshot& b) {
   // someta records per VM slot.
   ASSERT_EQ(a.someta.size(), b.someta.size());
   for (std::size_t v = 0; v < a.someta.size(); ++v) {
-    ASSERT_EQ(a.someta[v].size(), b.someta[v].size());
-    for (std::size_t j = 0; j < a.someta[v].size(); ++j) {
-      EXPECT_EQ(a.someta[v][j].at, b.someta[v][j].at);
-      EXPECT_EQ(a.someta[v][j].cpu_utilization, b.someta[v][j].cpu_utilization);
-      EXPECT_EQ(a.someta[v][j].memory_gb, b.someta[v][j].memory_gb);
-      EXPECT_EQ(a.someta[v][j].io_wait, b.someta[v][j].io_wait);
-      EXPECT_EQ(a.someta[v][j].cpu_saturated, b.someta[v][j].cpu_saturated);
-    }
+    EXPECT_EQ(a.someta[v].tests, b.someta[v].tests) << "vm " << v;
+    EXPECT_EQ(a.someta[v].saturated, b.someta[v].saturated) << "vm " << v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.someta[v].peak_cpu),
+              std::bit_cast<std::uint64_t>(b.someta[v].peak_cpu))
+        << "vm " << v;
   }
 
   // Exported CSV, byte for byte.

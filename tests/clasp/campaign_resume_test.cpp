@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -79,7 +81,7 @@ struct campaign_snapshot {
   std::size_t bucket_objects{0};
   std::size_t tests_run{0};
   std::size_t tests_missed{0};
-  std::vector<std::vector<vm_metadata_sample>> someta;  // per VM slot
+  std::vector<someta_summary> someta;  // per VM slot
   campaign_health health;
 };
 
@@ -95,7 +97,7 @@ campaign_snapshot snapshot_of(clasp_platform& p, campaign_runner& c) {
   snap.tests_run = c.tests_run();
   snap.tests_missed = c.tests_missed();
   for (std::size_t v = 0; v < c.vm_count(); ++v) {
-    snap.someta.push_back(c.metadata(v).samples());
+    snap.someta.push_back(c.metadata(v).summary());
   }
   snap.health = c.health();
   return snap;
@@ -115,14 +117,11 @@ void expect_identical(const campaign_snapshot& a, const campaign_snapshot& b) {
   EXPECT_EQ(a.tests_missed, b.tests_missed);
   ASSERT_EQ(a.someta.size(), b.someta.size());
   for (std::size_t v = 0; v < a.someta.size(); ++v) {
-    ASSERT_EQ(a.someta[v].size(), b.someta[v].size());
-    for (std::size_t j = 0; j < a.someta[v].size(); ++j) {
-      EXPECT_EQ(a.someta[v][j].at, b.someta[v][j].at);
-      EXPECT_EQ(a.someta[v][j].cpu_utilization, b.someta[v][j].cpu_utilization);
-      EXPECT_EQ(a.someta[v][j].memory_gb, b.someta[v][j].memory_gb);
-      EXPECT_EQ(a.someta[v][j].io_wait, b.someta[v][j].io_wait);
-      EXPECT_EQ(a.someta[v][j].cpu_saturated, b.someta[v][j].cpu_saturated);
-    }
+    EXPECT_EQ(a.someta[v].tests, b.someta[v].tests) << "vm " << v;
+    EXPECT_EQ(a.someta[v].saturated, b.someta[v].saturated) << "vm " << v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.someta[v].peak_cpu),
+              std::bit_cast<std::uint64_t>(b.someta[v].peak_cpu))
+        << "vm " << v;
   }
   // The campaign_health report, entry by entry.
   EXPECT_EQ(a.health.window_hours, b.health.window_hours);
@@ -990,9 +989,22 @@ TEST(CampaignResume, MalformedWalRecordIsTypedError) {
   }
 }
 
-TEST(CampaignResume, HostileSampleCountInStateIsTypedError) {
-  // A CRC-valid state.bin whose first someta recorder claims 2^60
-  // samples: load_state must refuse the count before sizing anything.
+// A someta summary no run of tests can produce: more saturated tests
+// than tests, a NaN peak, a peak above full utilization.
+struct hostile_someta {
+  const char* what;
+  std::uint64_t saturated_over_tests;  // saturated = tests + this
+  double peak_cpu;
+};
+const hostile_someta kHostileSometa[] = {
+    {"saturated above tests", 1, 0.5},
+    {"NaN peak", 0, std::numeric_limits<double>::quiet_NaN()},
+    {"peak of 1.5", 0, 1.5},
+};
+
+TEST(CampaignResume, HostileSometaSummaryIsTypedError) {
+  // In state.bin: the first VM's summary, CRC-valid, must be refused by
+  // load_state with a typed error.
   const fs::path root = test_dir();
   const std::string dir = run_and_kill(root.string(), 1, "low", 25);
   const auto current = current_checkpoint(dir);
@@ -1002,7 +1014,7 @@ TEST(CampaignResume, HostileSampleCountInStateIsTypedError) {
        "state.bin")
           .string();
   const std::string state = read_crc_file(state_path);
-  // Walk the prefix save_state writes ahead of the first sample count.
+  // Walk the prefix save_state writes ahead of the first summary.
   binary_reader in(state);
   const std::uint64_t vms = in.varint();  // outage windows per VM
   for (std::uint64_t v = 0; v < vms; ++v) {
@@ -1013,16 +1025,84 @@ TEST(CampaignResume, HostileSampleCountInStateIsTypedError) {
   in.boolean();                             // storage billed
   const std::uint64_t sessions = in.varint();
   for (std::uint64_t i = 0; i < sessions * 6; ++i) in.varint();
-  ASSERT_GT(in.varint(), 0u);  // someta recorders
-  const std::size_t count_at = in.pos();
-  in.varint();
-  binary_writer w;
-  w.varint(std::uint64_t{1} << 60);
-  const std::string hostile =
-      state.substr(0, count_at) + w.bytes() + state.substr(in.pos());
-  write_crc_file(state_path, hostile);
+  ASSERT_EQ(in.varint(), vms);  // someta summaries
+  const std::size_t summary_at = in.pos();
+  const std::uint64_t tests = in.varint();
+  const std::uint64_t saturated = in.varint();
+  const double peak = in.f64();
+  ASSERT_GT(tests, 0u);
+  ASSERT_LE(saturated, tests);
+  ASSERT_GT(peak, 0.0);
+  ASSERT_LE(peak, 1.0);
+  const std::string tail = state.substr(in.pos());
+  for (const hostile_someta& h : kHostileSometa) {
+    binary_writer w;
+    w.varint(tests);
+    w.varint(h.saturated_over_tests == 0 ? saturated
+                                         : tests + h.saturated_over_tests);
+    w.f64(h.peak_cpu);
+    write_crc_file(state_path, state.substr(0, summary_at) + w.bytes() + tail);
+    clasp_platform p(tiny_config(1, "low", root.string()));
+    campaign_runner& c = p.start_topology_campaign("us-west1", window());
+    EXPECT_THROW(c.resume(c.config().checkpoint_dir), invalid_argument_error)
+        << h.what;
+  }
+  // The untouched summary still resumes.
+  write_crc_file(state_path, state);
+  {
+    clasp_platform p(tiny_config(1, "low", root.string()));
+    campaign_runner& c = p.start_topology_campaign("us-west1", window());
+    EXPECT_TRUE(c.resume(c.config().checkpoint_dir));
+  }
+  fs::remove_all(root);
 
-  clasp_platform p(tiny_config(1, "low", root.string()));
+  // In a shard record: the decoder checks the hour's summary against its
+  // tests_run.
+  clasp_platform p(tiny_config(1, "low"));
+  campaign_runner& c = p.start_topology_campaign("us-west1", window());
+  std::vector<campaign_runner::vm_hour_staging> staged;
+  c.stage_shard_hour(window().begin_at + 20, 0, c.vm_count(), staged);
+  const auto ran = std::find_if(
+      staged.begin(), staged.end(),
+      [](const campaign_runner::vm_hour_staging& s) {
+        return s.tests_run != 0;
+      });
+  ASSERT_NE(ran, staged.end());
+  const std::size_t slot = static_cast<std::size_t>(ran - staged.begin());
+  campaign_runner::vm_hour_staging out;
+  ASSERT_EQ(c.decode_wal_record(c.encode_wal_record(slot, *ran), out), slot);
+  EXPECT_EQ(out.saturated_tests, ran->saturated_tests);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(out.peak_cpu),
+            std::bit_cast<std::uint64_t>(ran->peak_cpu));
+  for (const hostile_someta& h : kHostileSometa) {
+    campaign_runner::vm_hour_staging s = *ran;
+    if (h.saturated_over_tests != 0) {
+      s.saturated_tests = s.tests_run + h.saturated_over_tests;
+    }
+    s.peak_cpu = h.peak_cpu;
+    EXPECT_THROW(c.decode_wal_record(c.encode_wal_record(slot, s), out),
+                 invalid_argument_error)
+        << h.what;
+  }
+}
+
+TEST(CampaignResume, VersionFourCheckpointIsRejected) {
+  // A checkpoint whose state.bin still carried every someta sample: its
+  // version alone must refuse it, with a typed error.
+  const fs::path root = test_dir();
+  const std::string dir = run_and_kill(root.string(), 1, "off", 20);
+  const auto current = current_checkpoint(dir);
+  ASSERT_TRUE(current.has_value());
+  const checkpoint_info info = read_checkpoint_info(*current);
+  binary_writer v4;
+  v4.u32(0x4B434C43u);  // "CLCK"
+  v4.u32(4);
+  v4.u64(info.fingerprint);
+  v4.svarint(info.cursor_hours);
+  v4.svarint(info.base_hours);
+  write_crc_file(*current + "/MANIFEST", v4.bytes());
+  EXPECT_THROW(read_checkpoint_info(*current), invalid_argument_error);
+  clasp_platform p(tiny_config(1, "off", root.string()));
   campaign_runner& c = p.start_topology_campaign("us-west1", window());
   EXPECT_THROW(c.resume(c.config().checkpoint_dir), invalid_argument_error);
   fs::remove_all(root);

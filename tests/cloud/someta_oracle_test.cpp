@@ -1,8 +1,9 @@
-// Oracle test for record_test_metadata: its half-normals skip log, sqrt
-// and cos when the Box-Muller cosine is certainly negative. The plain
-// kernel below, max(0, normal(0, sigma)) in full, is the reference; both
-// must fill the same sample bits and leave the stream at the same next
-// draw.
+// Oracle test for test_cpu_utilization: its half-normal skips log, sqrt
+// and cos when the Box-Muller cosine is certainly negative, and it only
+// draws the memory and iowait normals nothing reads. The full resource
+// model below, every normal computed in full, is the reference; both
+// must give the same CPU-utilization bits and leave the stream at the
+// same next draw.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,11 +17,15 @@
 namespace clasp {
 namespace {
 
-vm_metadata_sample reference_test_metadata(const machine_type& machine,
-                                           mbps observed_throughput,
-                                           hour_stamp at, rng& r) {
-  vm_metadata_sample sample;
-  sample.at = at;
+struct reference_sample {
+  double cpu_utilization{0.0};
+  double memory_gb{0.0};
+  double io_wait{0.0};
+};
+
+reference_sample reference_test_metadata(const machine_type& machine,
+                                         mbps observed_throughput, rng& r) {
+  reference_sample sample;
   const double cores = static_cast<double>(machine.vcpus);
   const double throughput_cores =
       0.35 * observed_throughput.value / 1000.0;
@@ -28,7 +33,6 @@ vm_metadata_sample reference_test_metadata(const machine_type& machine,
   const double jitter = std::max(0.0, r.normal(0.0, 0.03));
   sample.cpu_utilization = std::min(
       (throughput_cores + baseline_cores) / cores + jitter, 1.0);
-  sample.cpu_saturated = sample.cpu_utilization >= 0.95;
   sample.memory_gb = 1.4 + 0.2 * observed_throughput.value / 1000.0 +
                      std::max(0.0, r.normal(0.0, 0.05));
   sample.io_wait = std::clamp(0.01 + r.normal(0.0, 0.004), 0.0, 0.2);
@@ -39,21 +43,18 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-// Runs both kernels from copies of `state`; true when every field and
-// the next draw agree.
-bool matches(const machine_type& machine, double throughput, hour_stamp at,
+// Runs both kernels from copies of `state`; true when the utilization,
+// its saturation flag and the next draw agree.
+bool matches(const machine_type& machine, double throughput,
              const rng& state) {
   rng ref = state;
   rng got = state;
-  const vm_metadata_sample want =
-      reference_test_metadata(machine, mbps{throughput}, at, ref);
-  const vm_metadata_sample have =
-      record_test_metadata(machine, mbps{throughput}, at, got);
-  return want.at == have.at &&
-         same_bits(want.cpu_utilization, have.cpu_utilization) &&
-         same_bits(want.memory_gb, have.memory_gb) &&
-         same_bits(want.io_wait, have.io_wait) &&
-         want.cpu_saturated == have.cpu_saturated && ref() == got();
+  const reference_sample want =
+      reference_test_metadata(machine, mbps{throughput}, ref);
+  const double have = test_cpu_utilization(machine, mbps{throughput}, got);
+  return same_bits(want.cpu_utilization, have) &&
+         (want.cpu_utilization >= 0.95) == cpu_saturated(have) &&
+         ref() == got();
 }
 
 TEST(SometaOracle, RandomSamplesMatchTheFullNormalKernel) {
@@ -65,7 +66,7 @@ TEST(SometaOracle, RandomSamplesMatchTheFullNormalKernel) {
     const double throughput = inputs.bernoulli(0.95)
                                   ? inputs.uniform(0.0, 2000.0)
                                   : inputs.uniform(0.0, 1e6);
-    if (!matches(machine, throughput, hour_stamp{i}, state)) ++mismatches;
+    if (!matches(machine, throughput, state)) ++mismatches;
     state();  // the next call starts one draw further on
   }
   EXPECT_EQ(mismatches, 0u);
@@ -98,7 +99,7 @@ TEST(SometaOracle, CosineSignEdgesMatch) {
     }
     if (near_edge) {
       for (const double throughput : {0.0, 40.0, 950.0, 5000.0}) {
-        if (!matches(n1, throughput, hour_stamp{pos}, state)) ++mismatches;
+        if (!matches(n1, throughput, state)) ++mismatches;
       }
     }
     state();

@@ -9,6 +9,7 @@
 // bit-exact), so none of this is allowed to show in the output.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -75,7 +76,7 @@ struct campaign_snapshot {
   std::size_t bucket_objects{0};
   std::size_t tests_run{0};
   std::size_t tests_missed{0};
-  std::vector<std::vector<vm_metadata_sample>> someta;
+  std::vector<someta_summary> someta;
   campaign_health health;
 };
 
@@ -91,7 +92,7 @@ campaign_snapshot snapshot_of(clasp_platform& p, campaign_runner& c) {
   snap.tests_run = c.tests_run();
   snap.tests_missed = c.tests_missed();
   for (std::size_t v = 0; v < c.vm_count(); ++v) {
-    snap.someta.push_back(c.metadata(v).samples());
+    snap.someta.push_back(c.metadata(v).summary());
   }
   snap.health = c.health();
   return snap;
@@ -109,14 +110,11 @@ void expect_identical(const campaign_snapshot& a, const campaign_snapshot& b) {
   EXPECT_EQ(a.tests_missed, b.tests_missed);
   ASSERT_EQ(a.someta.size(), b.someta.size());
   for (std::size_t v = 0; v < a.someta.size(); ++v) {
-    ASSERT_EQ(a.someta[v].size(), b.someta[v].size());
-    for (std::size_t j = 0; j < a.someta[v].size(); ++j) {
-      EXPECT_EQ(a.someta[v][j].at, b.someta[v][j].at);
-      EXPECT_EQ(a.someta[v][j].cpu_utilization, b.someta[v][j].cpu_utilization);
-      EXPECT_EQ(a.someta[v][j].memory_gb, b.someta[v][j].memory_gb);
-      EXPECT_EQ(a.someta[v][j].io_wait, b.someta[v][j].io_wait);
-      EXPECT_EQ(a.someta[v][j].cpu_saturated, b.someta[v][j].cpu_saturated);
-    }
+    EXPECT_EQ(a.someta[v].tests, b.someta[v].tests) << "vm " << v;
+    EXPECT_EQ(a.someta[v].saturated, b.someta[v].saturated) << "vm " << v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.someta[v].peak_cpu),
+              std::bit_cast<std::uint64_t>(b.someta[v].peak_cpu))
+        << "vm " << v;
   }
   EXPECT_EQ(a.health.window_hours, b.health.window_hours);
   EXPECT_EQ(a.health.total_retries, b.health.total_retries);

@@ -154,6 +154,32 @@ TEST(TsdbSnapshot, RejectsCorruptTruncatedAndWrongMagic) {
   EXPECT_TRUE(stores_identical(intact, build_fixture()));
 }
 
+TEST(TsdbSnapshot, SnapshotLargerThanAReadWindowRoundTrips) {
+  // Restore reads 1 MiB at a time: series, points and a tag value that
+  // straddle the window edges must come back exactly, through both
+  // overloads.
+  tsdb db;
+  rng r(7);
+  for (int s = 0; s < 4; ++s) {
+    const series_ref ref = db.open_series(
+        "download_mbps", {{"server", std::to_string(s)},
+                          {"note", std::string(std::size_t{1} << 20 | 3,
+                                               static_cast<char>('a' + s))}});
+    for (int i = 0; i < 60000; ++i) db.write(ref, h(i), r.uniform(0, 1000));
+  }
+  const std::string bytes = snapshot_bytes(db);
+  ASSERT_GT(bytes.size(), std::size_t{5} << 20);
+  EXPECT_TRUE(stores_identical(db, restored(bytes)));
+  const fs::path dir = fs::temp_directory_path() / "clasp_snap_large_test";
+  fs::create_directories(dir);
+  const std::string path = (dir / "db.snap").string();
+  db.snapshot_to(path);
+  tsdb copy;
+  copy.restore_from(path);
+  EXPECT_TRUE(stores_identical(db, copy));
+  fs::remove_all(dir);
+}
+
 TEST(TsdbSnapshot, PathOverloadsAndMissingFile) {
   const fs::path dir = fs::temp_directory_path() / "clasp_snap_test";
   fs::create_directories(dir);

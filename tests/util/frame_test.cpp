@@ -1,6 +1,6 @@
 // The framed-record codec: frame layout and the four cut results every
 // stream reader maps to its own policy, and the CRC trailer's streaming
-// writer, check and small-file helpers.
+// writer and reader, check and small-file helpers.
 #include "util/frame.hpp"
 
 #include <gtest/gtest.h>
@@ -124,6 +124,69 @@ TEST(Frame, TrailerCheckRefusesShortAndDamagedContent) {
     EXPECT_THROW(check_crc_trailer(bad, "test"), invalid_argument_error)
         << "byte " << i;
   }
+}
+
+TEST(Frame, TrailerReaderReadsAcrossWindows) {
+  // More than two 1 MiB windows of varints and f64s, a string longer
+  // than a window and a count bounded by the whole payload, read back
+  // through windows far smaller than the values they hold.
+  std::ostringstream os;
+  crc_trailer_writer file(os);
+  const std::string big(std::size_t{3} << 19, 'x');  // 1.5 MiB
+  file.buffer().varint(300000);
+  for (std::uint64_t i = 0; i < 300000; ++i) {
+    file.buffer().varint(i * 977);
+    file.buffer().f64(static_cast<double>(i) / 7.0);
+    file.spill();
+  }
+  file.buffer().str(big);
+  file.buffer().str("end");
+  file.close();
+  const std::string good = os.str();
+  const auto read_all = [](const std::string& bytes) {
+    std::istringstream is(bytes);
+    crc_trailer_reader in(is, bytes.size(), "test");
+    const std::size_t n = in.count(9);
+    binary_reader& r = in.window(18);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (r.left() < 18) in.window(18);
+      if (r.varint() != i * 977 || r.f64() != static_cast<double>(i) / 7.0) {
+        ADD_FAILURE() << "value " << i;
+        return;
+      }
+    }
+    EXPECT_EQ(in.str(), std::string(std::size_t{3} << 19, 'x'));
+    EXPECT_EQ(in.str(), "end");
+    EXPECT_TRUE(in.done());
+    in.close();
+  };
+  read_all(good);
+  // A flipped trailer byte, a cut stream and a stream whose size claims
+  // more than it holds all fail typed, at close() or before.
+  std::string flipped = good;
+  flipped[good.size() - 2] ^= 0x01;
+  EXPECT_THROW(read_all(flipped), invalid_argument_error);
+  EXPECT_THROW(read_all(good.substr(0, good.size() - 1)),
+               invalid_argument_error);
+  {
+    std::istringstream is(good.substr(0, good.size() / 2));
+    crc_trailer_reader in(is, good.size(), "test");
+    EXPECT_THROW(in.window(good.size()), invalid_argument_error);
+  }
+  // A count larger than the bytes left in the whole payload.
+  {
+    binary_writer w;
+    w.varint(good.size());
+    std::ostringstream hostile_os;
+    crc_trailer_writer hostile(hostile_os);
+    hostile.write(w.bytes());
+    hostile.close();
+    std::istringstream is(hostile_os.str());
+    crc_trailer_reader in(is, hostile_os.str().size(), "test");
+    EXPECT_THROW(in.count(1), invalid_argument_error);
+  }
+  std::istringstream empty("abc");
+  EXPECT_THROW(crc_trailer_reader(empty, 3, "test"), invalid_argument_error);
 }
 
 TEST(Frame, CrcFilesRoundTripAndFailTyped) {
